@@ -229,7 +229,7 @@ impl Oracle {
         if rsp.data_invalid {
             return Err(format!("{at}: DINV set on a successful response"));
         }
-        if rsp.data != exp.data {
+        if *rsp.data != *exp.data {
             if !lenient || rsp.data.len() != exp.data.len() {
                 return Err(format!(
                     "{at}: read data mismatch — engine {:02x?}.. oracle {:02x?}.. ({} bytes)",
@@ -266,6 +266,7 @@ fn two_words(payload: &[u8]) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmc_core::ResponseData;
     use hmc_types::BlockSize;
 
     fn rd(addr: u64, size: BlockSize) -> MemOp {
@@ -278,7 +279,7 @@ mod tests {
             tag,
             status: ResponseStatus::Ok,
             data_invalid: false,
-            data,
+            data: ResponseData::new(&data),
             slid: 0,
         }
     }
@@ -391,7 +392,7 @@ mod tests {
             tag,
             status: ResponseStatus::LinkPoisoned,
             data_invalid: true,
-            data: vec![],
+            data: ResponseData::new(&[]),
             slid: 0,
         }
     }

@@ -6,8 +6,13 @@
 //! the decoder correlates response packets — which "may arrive out of
 //! order" — back to tags, status and payload for the calling application.
 
+use std::fmt;
+use std::ops::Deref;
+
 use hmc_types::packet::ResponseStatus;
-use hmc_types::{Command, CubeId, Cycle, HmcError, LinkId, Packet, Result};
+use hmc_types::{
+    Command, CubeId, Cycle, HmcError, LinkId, Packet, Result, WireResponse, MAX_DATA_BYTES,
+};
 
 /// A decoded response packet, ready for host-side correlation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,7 +26,7 @@ pub struct ResponseInfo {
     /// True when the payload must not be trusted.
     pub data_invalid: bool,
     /// The payload (empty for write/mode-write/error responses).
-    pub data: Vec<u8>,
+    pub data: ResponseData,
     /// The link the original request entered on (SLID echo).
     pub slid: LinkId,
 }
@@ -30,6 +35,66 @@ impl ResponseInfo {
     /// True when the response signals success.
     pub fn is_ok(&self) -> bool {
         self.status.is_ok()
+    }
+
+    /// The response as a `Responses` frame entry, `latency` cycles after
+    /// its request entered the device. This is where the payload is
+    /// copied into owned bytes: a frame, or a capture that outlives the
+    /// drain, keeps only the live payload on the heap.
+    pub fn to_wire(&self, latency: Cycle) -> WireResponse {
+        WireResponse {
+            tag: self.tag,
+            ok: self.is_ok(),
+            status: self.status.encode(),
+            latency,
+            data: self.data.to_vec(),
+        }
+    }
+}
+
+/// A response payload of at most eight data FLITs, held inline so that
+/// decoding a response never allocates. Derefs to the live bytes.
+#[derive(Clone, PartialEq, Eq)]
+pub struct ResponseData {
+    len: u8,
+    /// Bytes past `len` stay zero, so the derived equality compares
+    /// exactly the live payloads.
+    bytes: [u8; MAX_DATA_BYTES],
+}
+
+impl ResponseData {
+    /// Copy `bytes` into inline storage.
+    ///
+    /// # Panics
+    /// Panics if `bytes.len()` exceeds the 128-byte maximum payload.
+    pub fn new(bytes: &[u8]) -> Self {
+        assert!(bytes.len() <= MAX_DATA_BYTES, "payload too large");
+        let mut data = ResponseData {
+            len: bytes.len() as u8,
+            bytes: [0; MAX_DATA_BYTES],
+        };
+        data.bytes[..bytes.len()].copy_from_slice(bytes);
+        data
+    }
+
+    fn of_packet(packet: &Packet) -> Self {
+        let mut data = ResponseData::new(&[]);
+        data.len = packet.copy_data_to(&mut data.bytes) as u8;
+        data
+    }
+}
+
+impl Deref for ResponseData {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
+impl fmt::Debug for ResponseData {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -63,20 +128,9 @@ pub fn decode_response(packet: &Packet) -> Result<ResponseInfo> {
         tag: packet.tag(),
         status: packet.errstat()?,
         data_invalid: packet.dinv(),
-        data: packet.data_as_bytes(),
+        data: ResponseData::of_packet(packet),
         slid: packet.response_slid(),
     })
-}
-
-/// A received response paired with its observed latency — what
-/// [`HmcSim::recv_with_latency`](crate::sim::HmcSim::recv_with_latency)
-/// yields after decoding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimedResponse {
-    /// The decoded response.
-    pub info: ResponseInfo,
-    /// Cycles from device entry to host delivery.
-    pub latency: Cycle,
 }
 
 #[cfg(test)]
@@ -101,7 +155,7 @@ mod tests {
         assert_eq!(info.slid, 3);
         assert!(info.is_ok());
         assert!(!info.data_invalid);
-        assert_eq!(info.data, data);
+        assert_eq!(*info.data, *data);
     }
 
     #[test]

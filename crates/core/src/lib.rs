@@ -53,7 +53,7 @@ pub mod vault;
 pub mod xbar;
 
 pub use api::{hmcsim_clock, hmcsim_init, hmcsim_link_config, hmcsim_recv, hmcsim_send, LinkType};
-pub use builder::{build_mem_request, decode_response, ResponseInfo};
+pub use builder::{build_mem_request, decode_response, ResponseData, ResponseInfo};
 pub use device::Device;
 pub use fault::{FaultConfig, FaultState};
 pub use inspect::{DeviceSnapshot, QueueLocation};

@@ -7,9 +7,8 @@
 //! returned. The report carries the simulated runtime in clock cycles —
 //! the quantity Table I compares across device configurations.
 
-use hmc_core::builder::TimedResponse;
 use hmc_core::HmcSim;
-use hmc_types::{CubeId, Cycle, HmcError, Result};
+use hmc_types::{CubeId, Cycle, HmcError, Result, WireResponse};
 use hmc_workloads::{MemOp, Workload};
 
 use crate::host::Host;
@@ -105,8 +104,8 @@ pub fn run_workload<W: Workload + ?Sized>(
     run_workload_with_progress(sim, host, workload, cfg, |_, _| {})
 }
 
-/// [`run_workload`] that also captures every correlated response in the
-/// exact order it came off the links.
+/// [`run_workload`] that also captures every correlated response, in its
+/// `Responses`-frame form, in the exact order it came off the links.
 ///
 /// This is the in-process reference for the serving path's differential
 /// check: the same workload run through a loopback `hmc-serve` session
@@ -116,7 +115,7 @@ pub fn run_workload_captured<W: Workload + ?Sized>(
     host: &mut Host,
     workload: &mut W,
     cfg: RunConfig,
-) -> Result<(RunReport, Vec<TimedResponse>)> {
+) -> Result<(RunReport, Vec<WireResponse>)> {
     let mut captured = Vec::new();
     let report = run_loop(sim, host, workload, cfg, |_, _| {}, Some(&mut captured))?;
     Ok((report, captured))
@@ -144,7 +143,7 @@ fn run_loop<W, F>(
     workload: &mut W,
     cfg: RunConfig,
     mut progress: F,
-    mut capture: Option<&mut Vec<TimedResponse>>,
+    mut capture: Option<&mut Vec<WireResponse>>,
 ) -> Result<RunReport>
 where
     W: Workload + ?Sized,
@@ -194,9 +193,7 @@ where
         sim.clock()?;
         match capture {
             Some(ref mut sink) => {
-                host.drain_with(sim, |info, latency| {
-                    sink.push(TimedResponse { info, latency })
-                })?;
+                host.drain_with(sim, |info, latency| sink.push(info.to_wire(latency)))?;
             }
             None => {
                 host.drain(sim)?;

@@ -256,13 +256,7 @@ impl SessionState {
                     self.sim.clock_batch(advance)?;
                     let responses = &mut self.responses;
                     self.host.drain_with(&mut self.sim, |info, latency| {
-                        responses.push_back(WireResponse {
-                            tag: info.tag,
-                            ok: info.is_ok(),
-                            status: info.status.encode(),
-                            latency,
-                            data: info.data,
-                        });
+                        responses.push_back(info.to_wire(latency));
                     })?;
                     *gap -= advance;
                     if *gap == 0 {
@@ -309,13 +303,7 @@ impl SessionState {
             self.sim.clock()?;
             let responses = &mut self.responses;
             self.host.drain_with(&mut self.sim, |info, latency| {
-                responses.push_back(WireResponse {
-                    tag: info.tag,
-                    ok: info.is_ok(),
-                    status: info.status.encode(),
-                    latency,
-                    data: info.data,
-                });
+                responses.push_back(info.to_wire(latency));
             })?;
             budget -= 1;
         }

@@ -102,18 +102,7 @@ fn served_responses_are_bit_identical_to_the_in_process_driver() {
         "served and in-process runs completed different response counts"
     );
     for (i, (wire, reference)) in served.iter().zip(captured.iter()).enumerate() {
-        assert_eq!(wire.tag, reference.info.tag, "tag diverged at response {i}");
-        assert_eq!(
-            wire.data, reference.info.data,
-            "data diverged at response {i} (tag {})",
-            wire.tag
-        );
-        assert_eq!(
-            wire.latency, reference.latency,
-            "latency diverged at response {i} (tag {})",
-            wire.tag
-        );
-        assert_eq!(wire.ok, reference.info.is_ok(), "status diverged at {i}");
+        assert_eq!(wire, reference, "response {i} diverged");
     }
     assert_eq!(final_stats.completed, report.completed);
     assert_eq!(final_stats.injected, report.injected);

@@ -6,9 +6,15 @@
 //! (normal form), which offers Hamming distance 6 up to 16,360-bit data
 //! words — comfortably covering the 144-byte maximum HMC packet.
 //!
-//! The implementation is a classic reflected table-driven CRC with the table
-//! built in a `const` context, so there is no runtime initialization cost
-//! and no global state.
+//! The implementation is a reflected slice-by-8 CRC: packets reach the
+//! checksum as little-endian 64-bit words, and [`Crc32k::update_u64`]
+//! absorbs a whole word per step — xor the running state into its low
+//! half, then combine eight table lookups, one per byte, each from the
+//! table that advances that byte past the bytes after it. Byte slices go
+//! through the same step eight bytes at a time and finish any tail with
+//! the single-byte table. All eight tables are built in a `const`
+//! context, so there is no runtime initialization cost and no global
+//! state.
 
 /// The Koopman CRC-32 polynomial in normal (MSB-first) form.
 pub const POLY_NORMAL: u32 = 0x741b_8cd7;
@@ -16,11 +22,14 @@ pub const POLY_NORMAL: u32 = 0x741b_8cd7;
 /// The Koopman CRC-32 polynomial in reflected (LSB-first) form.
 pub const POLY_REFLECTED: u32 = 0xeb31_d82e;
 
-/// 256-entry lookup table for the reflected polynomial, built at compile time.
-const TABLE: [u32; 256] = build_table();
+/// Slice-by-8 lookup tables for the reflected polynomial, built at
+/// compile time. `TABLES[0]` is the classic single-byte table;
+/// `TABLES[k][b]` is the CRC contribution of byte `b` followed by `k`
+/// zero bytes.
+const TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -33,10 +42,20 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Streaming CRC-32/Koopman state.
@@ -61,19 +80,34 @@ impl Crc32k {
         Crc32k { state: 0xffff_ffff }
     }
 
-    /// Absorb a byte slice.
+    /// Absorb a byte slice: whole 8-byte chunks through the word step,
+    /// the remaining tail byte by byte.
     pub fn update(&mut self, data: &[u8]) {
+        let mut chunks = data.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.update_u64(u64::from_le_bytes(
+                chunk.try_into().expect("chunks_exact yields 8 bytes"),
+            ));
+        }
         let mut crc = self.state;
-        for &byte in data {
-            let idx = ((crc ^ byte as u32) & 0xff) as usize;
-            crc = (crc >> 8) ^ TABLE[idx];
+        for &byte in chunks.remainder() {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ byte as u32) & 0xff) as usize];
         }
         self.state = crc;
     }
 
     /// Absorb a little-endian 64-bit word (how packet words hit the wire).
     pub fn update_u64(&mut self, word: u64) {
-        self.update(&word.to_le_bytes());
+        let x = word ^ self.state as u64;
+        let byte = |i: u32| ((x >> (8 * i)) & 0xff) as usize;
+        self.state = TABLES[7][byte(0)]
+            ^ TABLES[6][byte(1)]
+            ^ TABLES[5][byte(2)]
+            ^ TABLES[4][byte(3)]
+            ^ TABLES[3][byte(4)]
+            ^ TABLES[2][byte(5)]
+            ^ TABLES[1][byte(6)]
+            ^ TABLES[0][byte(7)];
     }
 
     /// Produce the final checksum value.

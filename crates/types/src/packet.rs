@@ -346,13 +346,7 @@ impl Packet {
     /// # Panics
     /// Panics if `bytes.len()` exceeds the 128-byte maximum.
     pub fn set_data_bytes(&mut self, bytes: &[u8]) {
-        assert!(bytes.len() <= MAX_DATA_WORDS * 8, "payload too large");
-        self.data = [0; MAX_DATA_WORDS];
-        for (i, chunk) in bytes.chunks(8).enumerate() {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.data[i] = u64::from_le_bytes(word);
-        }
+        self.data = words_from_bytes(bytes);
     }
 
     /// Extract the live payload as bytes (little-endian word order).
@@ -369,8 +363,9 @@ impl Packet {
     /// Panics if `out` is shorter than the live payload.
     pub fn copy_data_to(&self, out: &mut [u8]) -> usize {
         let n = self.data_bytes();
-        for (chunk, w) in out[..n].chunks_mut(8).zip(self.data_words()) {
-            chunk.copy_from_slice(&w.to_le_bytes()[..chunk.len()]);
+        // `n` is a whole number of FLITs, so every chunk is a full word.
+        for (chunk, w) in out[..n].chunks_exact_mut(8).zip(&self.data) {
+            chunk.copy_from_slice(&w.to_le_bytes());
         }
         n
     }
@@ -430,7 +425,11 @@ impl Packet {
                 "tag {tag} exceeds the 9-bit tag field"
             )));
         }
-        let mut p = Packet::default();
+        let mut p = Packet {
+            header: 0,
+            data: words_from_bytes(data),
+            tail: 0,
+        };
         p.set_cmd(cmd);
         p.set_cub(cub);
         p.set_addr(addr);
@@ -439,7 +438,6 @@ impl Packet {
         p.set_lng(flits);
         p.set_dln(flits);
         p.set_slid(link);
-        p.set_data_bytes(data);
         p.seal();
         Ok(p)
     }
@@ -476,7 +474,11 @@ impl Packet {
                 cmd.mnemonic()
             )));
         }
-        let mut p = Packet::default();
+        let mut p = Packet {
+            header: 0,
+            data: words_from_bytes(data),
+            tail: 0,
+        };
         p.set_cmd(cmd);
         p.set_tag(tag);
         let flits = crate::flit::flits_for_data(data.len());
@@ -485,7 +487,6 @@ impl Packet {
         p.set_errstat(status);
         p.set_response_slid(slid);
         p.set_dinv(!status.is_ok());
-        p.set_data_bytes(data);
         p.seal();
         Ok(p)
     }
@@ -577,6 +578,27 @@ impl Packet {
         }
         Ok(())
     }
+}
+
+/// Pack a byte payload into zero-padded little-endian data words, a
+/// whole word at a time.
+///
+/// # Panics
+/// Panics if `bytes.len()` exceeds the 128-byte maximum.
+fn words_from_bytes(bytes: &[u8]) -> [u64; MAX_DATA_WORDS] {
+    assert!(bytes.len() <= MAX_DATA_BYTES, "payload too large");
+    let mut words = [0u64; MAX_DATA_WORDS];
+    let mut chunks = bytes.chunks_exact(8);
+    for (w, chunk) in words.iter_mut().zip(&mut chunks) {
+        *w = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"));
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        words[bytes.len() / 8] = u64::from_le_bytes(word);
+    }
+    words
 }
 
 #[cfg(test)]

@@ -69,7 +69,7 @@ fn main() {
         );
     }
     assert_eq!(responses.len(), 2);
-    assert_eq!(responses[1].data, payload, "read returns the written data");
+    assert_eq!(*responses[1].data, payload, "read returns the written data");
     println!(
         "data integrity verified after {} cycles",
         hmc.current_clock()

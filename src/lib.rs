@@ -46,7 +46,7 @@
 //! while let Ok(rsp) = sim.recv(0, 1) {
 //!     let info = decode_response(&rsp).unwrap();
 //!     if info.tag == 2 {
-//!         assert_eq!(info.data, data.to_vec());
+//!         assert_eq!(*info.data, data);
 //!     }
 //! }
 //! ```

@@ -166,7 +166,7 @@ fn writes_to_far_devices_are_durable() {
     for _ in 0..16 {
         sim.clock().unwrap();
         if let Ok(p) = sim.recv(0, 0) {
-            got = Some(decode_response(&p).unwrap().data);
+            got = Some(decode_response(&p).unwrap().data.to_vec());
             break;
         }
     }

@@ -43,7 +43,7 @@ fn write_read_roundtrip_at_every_block_size() {
         let rd = Packet::request(Command::Rd(*bs), 0, addr, 2, 0, &[]).unwrap();
         let r = transact(&mut s, 0, rd);
         assert_eq!(r.cmd, Command::RdResponse);
-        assert_eq!(r.data, data, "{bs:?} data integrity");
+        assert_eq!(*r.data, data, "{bs:?} data integrity");
     }
 }
 
@@ -60,7 +60,7 @@ fn posted_writes_land_without_responses() {
     assert!(s.recv(0, 0).is_err(), "posted write produces no response");
     let rd = Packet::request(Command::Rd(BlockSize::B32), 0, 0x2000, 1, 0, &[]).unwrap();
     let r = transact(&mut s, 0, rd);
-    assert_eq!(r.data, data.to_vec(), "posted data is durable");
+    assert_eq!(*r.data, data, "posted data is durable");
 }
 
 #[test]

@@ -48,7 +48,7 @@ fn same_link_same_bank_writes_apply_in_order() {
     for _ in 0..32 {
         s.clock().unwrap();
         if let Ok(p) = s.recv(0, 0) {
-            data = Some(decode_response(&p).unwrap().data);
+            data = Some(decode_response(&p).unwrap().data.to_vec());
             break;
         }
     }
@@ -70,7 +70,7 @@ fn write_then_read_same_address_is_deterministic() {
         s.clock().unwrap();
         while let Ok(p) = s.recv(0, 0) {
             if p.tag() == 2 {
-                read_data = Some(decode_response(&p).unwrap().data);
+                read_data = Some(decode_response(&p).unwrap().data.to_vec());
             }
         }
         if read_data.is_some() {
@@ -136,7 +136,7 @@ fn cross_vault_requests_may_complete_out_of_order() {
         while let Ok(p) = s.recv(0, 0) {
             let info = decode_response(&p).unwrap();
             let expect = (info.tag - 10 + 1) as u8;
-            assert_eq!(info.data, vec![expect; 16]);
+            assert_eq!(*info.data, [expect; 16]);
             seen += 1;
         }
         if seen == 2 {

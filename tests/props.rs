@@ -241,7 +241,7 @@ proptest! {
             for _ in 0..32 {
                 sim.clock().unwrap();
                 if let Ok(p) = sim.recv(0, 0) {
-                    got = Some(decode_response(&p).unwrap().data);
+                    got = Some(decode_response(&p).unwrap().data.to_vec());
                     break;
                 }
             }

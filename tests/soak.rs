@@ -159,7 +159,7 @@ fn functional_mode_scatter_gather_integrity() {
             sim.clock().unwrap();
             if let Ok(p) = sim.recv(0, 0) {
                 let info = decode_response(&p).unwrap();
-                assert_eq!(info.data, vec![val; 32], "block at {addr:#x}");
+                assert_eq!(*info.data, [val; 32], "block at {addr:#x}");
                 ok = true;
                 break;
             }

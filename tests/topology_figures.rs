@@ -71,7 +71,7 @@ fn simple_topology_carries_traffic() {
     let responses = roundtrip_all(&mut sim, 0);
     assert_eq!(responses.len(), 1);
     assert!(responses[0].is_ok());
-    assert_eq!(responses[0].data, vec![0xa5; 16]);
+    assert_eq!(*responses[0].data, [0xa5; 16]);
 }
 
 #[test]
@@ -83,7 +83,7 @@ fn chain_reaches_every_device_with_data_integrity() {
     assert_eq!(responses.len(), 4);
     for (dev, r) in responses.iter().enumerate() {
         assert!(r.is_ok(), "device {dev}");
-        assert_eq!(r.data, vec![dev as u8 ^ 0xa5; 16], "device {dev} data");
+        assert_eq!(*r.data, [dev as u8 ^ 0xa5; 16], "device {dev} data");
     }
 }
 

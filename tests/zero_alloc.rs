@@ -5,31 +5,45 @@
 //!
 //! A counting global allocator wraps the system allocator; after a
 //! warm-up phase grows every reusable buffer to its steady-state
-//! capacity, an identical measured phase must allocate nothing.
+//! capacity, an identical measured phase must allocate nothing. The
+//! count is per thread, so tests running side by side (and the test
+//! harness itself) never show up in each other's measured phase.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use hmc_sim::hmc_core::{topology, HmcSim};
+use hmc_sim::hmc_host::Host;
 use hmc_sim::hmc_types::{BlockSize, Command, DeviceConfig, Packet, StorageMode};
+use hmc_sim::hmc_workloads::MemOp;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -94,16 +108,71 @@ fn steady_state_serial_clock_allocates_nothing() {
         round(&mut sim, &mut rng, &mut tag, capacity, num_links);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..256 {
         round(&mut sim, &mut rng, &mut tag, capacity, num_links);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert_eq!(
         after - before,
         0,
         "steady-state clock() must not touch the allocator \
+         ({} allocations in 256 loaded cycles)",
+        after - before
+    );
+}
+
+/// One host-driver round, the Table I harness loop: issue mixed
+/// RD64/WR64 operations until the host refuses one, clock once, then
+/// drain and correlate every response.
+fn host_round(host: &mut Host, sim: &mut HmcSim, rng: &mut Lcg, capacity: u64) {
+    loop {
+        let addr = (rng.next() % (capacity / 64)) * 64;
+        let op = if rng.next().is_multiple_of(2) {
+            MemOp::write(addr, BlockSize::B64)
+        } else {
+            MemOp::read(addr, BlockSize::B64)
+        };
+        if !host.try_issue(sim, 0, &op).unwrap() {
+            break;
+        }
+    }
+    sim.clock().unwrap();
+    host.drain(sim).unwrap();
+}
+
+#[test]
+fn steady_state_host_driver_allocates_nothing() {
+    let cfg = DeviceConfig::paper_4link_8bank_2gb().with_storage_mode(StorageMode::TimingOnly);
+    let mut sim = HmcSim::new(1, cfg).unwrap();
+    let host_id = sim.host_cube_id(0);
+    topology::build_simple(&mut sim, host_id).unwrap();
+    let mut host = Host::attach(&sim, host_id).unwrap();
+
+    let capacity = sim.config().capacity_bytes;
+    let mut rng = Lcg(0xBEEF);
+
+    for _ in 0..256 {
+        host_round(&mut host, &mut sim, &mut rng, capacity);
+    }
+
+    let before = allocations();
+    let completed = host.stats.completed;
+    for _ in 0..256 {
+        host_round(&mut host, &mut sim, &mut rng, capacity);
+    }
+    let after = allocations();
+
+    assert!(
+        host.stats.completed > completed,
+        "the measured phase must complete responses"
+    );
+    assert_eq!(host.stats.errors, 0);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state try_issue + clock + drain must not touch the allocator \
          ({} allocations in 256 loaded cycles)",
         after - before
     );
