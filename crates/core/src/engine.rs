@@ -29,10 +29,18 @@
 //! **Zero-allocation hot path.** Every per-cycle buffer (event stages,
 //! drain plans, forward staging, the vault shells that ferry vault
 //! ownership to workers) lives in [`EngineScratch`] or inside the
-//! long-lived shard jobs and is reused with retained capacity; the
-//! steady-state serial `clock()` performs no heap allocation. The
-//! parallel path additionally pays one channel hand-off per shard per
-//! cycle (the bounded rendezvous buffers are preallocated).
+//! long-lived shard jobs and is reused with retained capacity. Packets
+//! travel as boxed queue entries: a hop moves a pointer, a vault turns a
+//! request into its response inside the request's box, and every box
+//! that retires (a posted request, a flow packet, a dropped response, a
+//! response the host received) goes back to the simulation's free list,
+//! from which `HmcSim::send` takes the box for the next request. Once
+//! warm-up has grown the list to the peak number of packets in flight,
+//! the steady-state serial `clock()` and the send/receive calls perform
+//! no heap allocation. The parallel path stages the boxes its workers
+//! retire per shard job and returns them to the free list at the merge
+//! point; it additionally pays one channel hand-off per shard per cycle
+//! (the bounded rendezvous buffers are preallocated).
 
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
@@ -43,7 +51,7 @@ use hmc_types::{CubeId, Cycle, LinkId, Result, VaultId};
 
 use crate::link::Endpoint;
 use crate::params::{ConflictPolicy, RefreshParams};
-use crate::queue::{QueueEntry, UNDECODED};
+use crate::queue::{FreeList, QueueEntry, UNDECODED};
 use crate::routing::RouteTable;
 use crate::sim::{HmcSim, MAX_CUBES};
 use crate::timing::RowOutcome;
@@ -114,7 +122,7 @@ pub(crate) struct EngineScratch {
     /// without reallocating.
     pub(crate) shells: Vec<Vec<Vault>>,
     /// Stage-1/2 deferred chain-forward staging.
-    pub(crate) forwards: Vec<(QueueEntry, usize, usize)>,
+    pub(crate) forwards: Vec<(Box<QueueEntry>, usize, usize)>,
 }
 
 impl EngineScratch {
@@ -152,6 +160,9 @@ struct ShardJob {
     err_bumps: [u64; MAX_CUBES],
     row_counts: [u64; 3],
     fault_counts: [u64; 4],
+    /// Boxes of requests retired without a response (posted commands),
+    /// returned to the simulation's free list at the merge point.
+    retired: FreeList,
     inputs: CycleInputs,
     map: Arc<dyn AddressMap>,
     routes: RouteTable,
@@ -183,6 +194,7 @@ fn run_shard(job: &mut ShardJob) {
                 &mut job.err_bumps,
                 &mut job.row_counts,
                 &mut job.fault_counts,
+                &mut job.retired,
             );
             plan_vault_drain(
                 vault,
@@ -200,7 +212,9 @@ fn run_shard(job: &mut ShardJob) {
 /// Stages 3 and 4 for one vault: bank-conflict recognition over the
 /// spatial window (trace only, §IV.C.3), then the windowed request walk
 /// (§IV.C.4). Identical code serves the serial and parallel engines;
-/// trace events and error-register bumps are staged, not emitted.
+/// trace events and error-register bumps are staged, not emitted, and
+/// the boxes of requests that retire without a response are pushed onto
+/// `retired`.
 ///
 /// Timing decisions inside the walk are delegated to the vault's
 /// [`crate::timing::VaultTiming`] backend: a bank that already issued
@@ -222,6 +236,7 @@ pub(crate) fn tick_vault(
     err_bumps: &mut [u64; MAX_CUBES],
     row_counts: &mut [u64; 3],
     fault_counts: &mut [u64; 4],
+    retired: &mut FreeList,
 ) {
     // Release pending responses whose data became ready, before the walk
     // (their freed capacity admits new requests this cycle).
@@ -402,7 +417,7 @@ pub(crate) fn tick_vault(
                 },
             });
         }
-        match vault.execute(entry, map, dev_id, inputs.clock, grant.data_ready) {
+        match vault.execute(entry, map, dev_id, inputs.clock, grant.data_ready, retired) {
             Execution::Done | Execution::Responded => {}
             Execution::RespondedError(status) => {
                 completions.stage(TraceEvent::ErrorResponse {
@@ -773,6 +788,7 @@ impl HmcSim {
                         &mut scratch.err_bumps,
                         &mut scratch.row_counts,
                         &mut scratch.fault_counts,
+                        &mut self.spare,
                     );
                     plan_vault_drain(
                         vault,
@@ -895,6 +911,7 @@ impl HmcSim {
                 err_bumps: [0; MAX_CUBES],
                 row_counts: [0; 3],
                 fault_counts: [0; 4],
+                retired: FreeList::default(),
                 inputs: CycleInputs::default(),
                 map: self.map.clone(),
                 routes: routes.clone(),
@@ -999,7 +1016,8 @@ impl HmcSim {
                 for job in held.iter_mut().map(|j| j.as_mut().expect("held")) {
                     job.completions.flush_into(&mut self.tracer, clock);
                 }
-                for job in held.iter().map(|j| j.as_ref().expect("held")) {
+                for job in held.iter_mut().map(|j| j.as_mut().expect("held")) {
+                    self.spare.absorb(&mut job.retired);
                     for (di, &n) in job.err_bumps.iter().enumerate().take(nd) {
                         if n > 0 {
                             self.bump_error_register_by(di, n);
@@ -1179,7 +1197,7 @@ mod tests {
         let mut e = QueueEntry::new(read_packet(0, 9, 0), 1, 0, 0);
         e.dest_vault = vault;
         e.dest_bank = bank;
-        s.devices[0].vaults[vault as usize].rqst.push(e).unwrap();
+        s.devices[0].vaults[vault as usize].rqst.push(Box::new(e)).unwrap();
 
         // Entire (single-entry) window parked on the refreshed bank:
         // dead until the window edge at cycle 10.
@@ -1342,7 +1360,7 @@ mod tests {
         e.dest_vault = vault as u16;
         e.dest_bank = 1;
         e.dest_row = 0;
-        s.devices[0].vaults[vault].rqst.push(e).unwrap();
+        s.devices[0].vaults[vault].rqst.push(Box::new(e)).unwrap();
         let ready = t.t_rcd + t.t_ccd;
         assert_eq!(s.quiescent_horizon(1_000), ready);
 
@@ -1383,7 +1401,7 @@ mod tests {
         e.dest_vault = vault;
         e.dest_bank = bank;
         e.dest_row = 0;
-        s.devices[0].vaults[vault as usize].rqst.push(e).unwrap();
+        s.devices[0].vaults[vault as usize].rqst.push(Box::new(e)).unwrap();
         // The stage-4 refresh bit and the DDR shadow state agree: the
         // bank is parked until the window edge, and the horizon lands
         // exactly there.

@@ -381,7 +381,7 @@ mod tests {
         let rsp =
             Packet::response(Command::RdResponse, 9, 0, ResponseStatus::Ok, &[0u8; 64]).unwrap();
         let entry = QueueEntry::new(rsp, 0, s.host_cube_id(0), 0);
-        s.devices[0].xbars[0].rsp.push(entry).unwrap();
+        s.devices[0].xbars[0].rsp.push(Box::new(entry)).unwrap();
         let _ = s.recv(0, 0).unwrap();
         assert_eq!(s.total_invariant_violations(), 1);
         assert!(s.invariant_violations()[0].contains("tag correlation"));
@@ -396,7 +396,7 @@ mod tests {
             Packet::response(Command::RdResponse, 3, 0, ResponseStatus::Ok, &[0u8; 64]).unwrap();
         rsp.set_crc(rsp.crc() ^ 0x8000_0000);
         let entry = QueueEntry::new(rsp, 0, s.host_cube_id(0), 0);
-        s.devices[0].xbars[0].rsp.push(entry).unwrap();
+        s.devices[0].xbars[0].rsp.push(Box::new(entry)).unwrap();
         let _ = s.recv(0, 0).unwrap();
         assert!(s
             .invariant_violations()

@@ -333,7 +333,7 @@ impl NocDest {
 #[derive(Debug, Clone)]
 pub struct NocEntry {
     /// The queued packet, exactly as the crossbar paths carry it.
-    pub entry: QueueEntry,
+    pub entry: Box<QueueEntry>,
     /// Final destination within the device.
     pub dest: NocDest,
     /// Clock of the last segment move (or injection): a packet whose
@@ -394,14 +394,15 @@ pub struct NocState {
     num_quads: usize,
     /// One bounded FIFO per quad segment per traffic class, plane-major
     /// (`class.index() * num_quads + quad`), preallocated to
-    /// `buffer_depth` so the steady state never allocates.
-    buffers: Vec<VecDeque<NocEntry>>,
+    /// `buffer_depth` so the steady state never allocates. A slot is
+    /// `None` only inside [`NocState::advance`], between its packet
+    /// moving out and the compaction that closes the gap, so that scan
+    /// indices stay stable while packets move out.
+    buffers: Vec<VecDeque<Option<NocEntry>>>,
     /// Round-robin scan origin per buffer (pre-compaction index space).
     rr_next: Vec<usize>,
     /// Scratch: candidate scan order for one quad (indices).
     scratch_order: Vec<u32>,
-    /// Scratch: positions moved out of the current quad this cycle.
-    scratch_moved: Vec<u32>,
     /// Events staged by `advance`, drained by the engine afterwards.
     events: Vec<NocEvent>,
 }
@@ -430,7 +431,6 @@ impl NocState {
                 .collect(),
             rr_next: vec![0; 2 * num_quads as usize],
             scratch_order: Vec::with_capacity(depth),
-            scratch_moved: Vec::with_capacity(depth),
             events: Vec::new(),
         })
     }
@@ -473,17 +473,19 @@ impl NocState {
     /// `dest`'s traffic class. The caller must have checked
     /// [`NocState::has_room`]; the packet may first move at the next
     /// clock edge (`moved_at = clock`).
-    pub fn inject(&mut self, quad: QuadId, dest: NocDest, entry: QueueEntry, clock: Cycle) {
+    pub fn inject(&mut self, quad: QuadId, dest: NocDest, entry: Box<QueueEntry>, clock: Cycle) {
         debug_assert!(
             self.has_room(quad, dest.class()),
             "caller checks has_room before inject"
         );
         debug_assert_ne!(dest.quad(), quad, "local traffic bypasses the NoC");
-        self.buffers[dest.class().index() * self.num_quads + quad as usize].push_back(NocEntry {
-            entry,
-            dest,
-            moved_at: clock,
-        });
+        self.buffers[dest.class().index() * self.num_quads + quad as usize].push_back(Some(
+            NocEntry {
+                entry,
+                dest,
+                moved_at: clock,
+            },
+        ));
     }
 
     /// Pop the next staged trace event, oldest first.
@@ -497,7 +499,7 @@ impl NocState {
 
     /// Iterate over every buffered packet (invariant sweeps).
     pub fn entries(&self) -> impl Iterator<Item = &NocEntry> {
-        self.buffers.iter().flat_map(|b| b.iter())
+        self.buffers.iter().flat_map(|b| b.iter().flatten())
     }
 
     /// Run one NoC sub-cycle. For each virtual-channel plane (requests,
@@ -505,9 +507,10 @@ impl NocState {
     /// `quad_drain` packets one step — forwarding to the next segment
     /// on their route, or delivering packets that have reached their
     /// destination quad through `deliver_vault` / `deliver_link` (each
-    /// returns the packet back on a full target queue). Each plane has
-    /// its own drain budget per quad, modelling separate physical
-    /// channels.
+    /// returns the packet back on a full target queue, and a refused
+    /// packet stays exactly where it was). Packets are moved, never
+    /// copied. Each plane has its own drain budget per quad, modelling
+    /// separate physical channels.
     ///
     /// Per-destination FIFO order is enforced: a packet may move only if
     /// no earlier-positioned packet with the same destination is still
@@ -529,8 +532,8 @@ impl NocState {
         record_stalls: bool,
     ) -> NocDelta
     where
-        FV: FnMut(VaultId, QueueEntry) -> Result<(), QueueEntry>,
-        FL: FnMut(LinkId, QueueEntry) -> Result<(), QueueEntry>,
+        FV: FnMut(VaultId, Box<QueueEntry>) -> Result<(), Box<QueueEntry>>,
+        FL: FnMut(LinkId, Box<QueueEntry>) -> Result<(), Box<QueueEntry>>,
     {
         let mut delta = NocDelta::default();
         let num_quads = self.num_quads;
@@ -546,14 +549,12 @@ impl NocState {
                 }
                 self.build_scan_order(bi, len, q as QuadId);
                 let order = std::mem::take(&mut self.scratch_order);
-                let mut moved = std::mem::take(&mut self.scratch_moved);
-                moved.clear();
                 let mut budget = self.quad_drain;
                 let mut last_winner: Option<u32> = None;
                 for &iu in order.iter() {
                     let i = iu as usize;
                     let (dest, moved_at, tag) = {
-                        let e = &self.buffers[bi][i];
+                        let e = live(&self.buffers[bi], i);
                         (e.dest, e.moved_at, e.entry.packet.tag())
                     };
                     // One segment per cycle: skip packets that hopped
@@ -563,12 +564,14 @@ impl NocState {
                         continue;
                     }
                     // Per-destination FIFO: an earlier same-destination
-                    // packet still present holds this one in place.
+                    // packet still present (not moved out this pass)
+                    // holds this one in place.
                     let key = dest.order_key(self.num_vaults);
-                    let held = (0..i).any(|j| {
-                        !moved.contains(&(j as u32))
-                            && self.buffers[bi][j].dest.order_key(self.num_vaults) == key
-                    });
+                    let held = self.buffers[bi]
+                        .iter()
+                        .take(i)
+                        .flatten()
+                        .any(|e| e.dest.order_key(self.num_vaults) == key);
                     if held {
                         continue;
                     }
@@ -580,20 +583,25 @@ impl NocState {
                     if dest_quad == q as QuadId {
                         // Arrived: deliver into the vault request queue
                         // or the egress crossbar response queue.
-                        let mut e = self.buffers[bi][i].entry.clone();
-                        e.arrival_cycle = clock;
+                        let slot = self.buffers[bi][i].take().expect("scanned once");
+                        let mut entry = slot.entry;
+                        let arrived = entry.arrival_cycle;
+                        entry.arrival_cycle = clock;
                         let res = match dest {
-                            NocDest::ToVault(v) => deliver_vault(v, e),
-                            NocDest::ToLink(l) => deliver_link(l, e),
+                            NocDest::ToVault(v) => deliver_vault(v, entry),
+                            NocDest::ToLink(l) => deliver_link(l, entry),
                         };
                         match res {
                             Ok(()) => {
                                 budget -= 1;
-                                moved.push(iu);
                                 last_winner = Some(iu);
                                 plane_moves += 1;
                             }
-                            Err(_) => {
+                            Err(mut entry) => {
+                                // Refused: the packet stays exactly
+                                // where it was.
+                                entry.arrival_cycle = arrived;
+                                self.buffers[bi][i] = Some(NocEntry { entry, ..slot });
                                 delta.stalls += 1;
                                 if record_stalls {
                                     self.events.push(NocEvent::Stall {
@@ -617,11 +625,10 @@ impl NocState {
                             }
                             continue;
                         }
-                        let mut e = self.buffers[bi][i].clone();
+                        let mut e = self.buffers[bi][i].take().expect("scanned once");
                         e.moved_at = clock;
-                        self.buffers[base + next].push_back(e);
+                        self.buffers[base + next].push_back(Some(e));
                         budget -= 1;
-                        moved.push(iu);
                         last_winner = Some(iu);
                         plane_moves += 1;
                         delta.hops += 1;
@@ -634,19 +641,14 @@ impl NocState {
                         }
                     }
                 }
-                // Compact the quad's buffer, highest index first so
-                // earlier removals do not shift later ones, so
+                // Compact the quad's buffer (order preserved) so
                 // subsequent quads see true occupancy when forwarding
                 // into this buffer.
-                moved.sort_unstable();
-                for &iu in moved.iter().rev() {
-                    self.buffers[bi].remove(iu as usize);
-                }
                 if let Some(w) = last_winner {
+                    self.buffers[bi].retain(Option::is_some);
                     self.rr_next[bi] = (w as usize + 1) % len.max(1);
                 }
                 self.scratch_order = order;
-                self.scratch_moved = moved;
             }
             if plane_moves == 0 && plane_fwd_stalls > 0 {
                 delta.hops += self.rotate(class, clock, record_hops);
@@ -675,7 +677,7 @@ impl NocState {
         for (q, slot) in cand.iter_mut().enumerate() {
             let b = &self.buffers[base + q];
             for i in 0..b.len() {
-                let e = &b[i];
+                let e = live(b, i);
                 if e.moved_at >= clock {
                     continue;
                 }
@@ -684,7 +686,7 @@ impl NocState {
                     continue;
                 }
                 let key = e.dest.order_key(self.num_vaults);
-                if (0..i).any(|j| b[j].dest.order_key(self.num_vaults) == key) {
+                if (0..i).any(|j| live(b, j).dest.order_key(self.num_vaults) == key) {
                     continue;
                 }
                 let next = self.topology.next_hop(q as QuadId, dest_quad);
@@ -720,13 +722,16 @@ impl NocState {
                 let mut moving = Vec::with_capacity(path.len() - pos);
                 for &p in &path[pos..] {
                     let (i, next) = cand[p].expect("cycle members have candidates");
-                    let mut e = self.buffers[base + p].remove(i).expect("candidate index valid");
+                    let mut e = self.buffers[base + p]
+                        .remove(i)
+                        .flatten()
+                        .expect("candidate index valid");
                     e.moved_at = clock;
                     moving.push((p, next, e));
                 }
                 for (p, next, e) in moving {
                     let tag = e.entry.packet.tag();
-                    self.buffers[base + next as usize].push_back(e);
+                    self.buffers[base + next as usize].push_back(Some(e));
                     hops += 1;
                     if record_hops {
                         self.events.push(NocEvent::Hop {
@@ -763,16 +768,17 @@ impl NocState {
                 self.scratch_order.extend(0..len as u32);
                 let buf = &self.buffers[bi];
                 self.scratch_order
-                    .sort_by_key(|&i| (buf[i as usize].entry.entry_cycle, i));
+                    .sort_by_key(|&i| (live(buf, i as usize).entry.entry_cycle, i));
             }
             ArbitrationKind::LocalityAware => {
+                let buf = &self.buffers[bi];
                 for i in 0..len as u32 {
-                    if self.buffers[bi][i as usize].dest.quad() == quad {
+                    if live(buf, i as usize).dest.quad() == quad {
                         self.scratch_order.push(i);
                     }
                 }
                 for i in 0..len as u32 {
-                    if self.buffers[bi][i as usize].dest.quad() != quad {
+                    if live(buf, i as usize).dest.quad() != quad {
                         self.scratch_order.push(i);
                     }
                 }
@@ -781,10 +787,13 @@ impl NocState {
     }
 }
 
+/// The packet in slot `i` of a segment buffer outside the middle of an
+/// advance pass, where every slot is occupied.
+fn live(buf: &VecDeque<Option<NocEntry>>, i: usize) -> &NocEntry {
+    buf[i].as_ref().expect("segment slots are compacted between passes")
+}
+
 #[cfg(test)]
-// Delivery closures echo `PacketQueue::push`'s refused-entry return,
-// which carries the same large-variant trade-off.
-#[allow(clippy::result_large_err)]
 mod tests {
     use super::*;
 
@@ -850,11 +859,11 @@ mod tests {
         assert!(NocState::new(&NocParams::of(InterconnectKind::Mesh), 4, 16).is_some());
     }
 
-    fn test_entry(tag: u16) -> QueueEntry {
+    fn test_entry(tag: u16) -> Box<QueueEntry> {
         use hmc_types::{Command, Packet};
         let p =
             Packet::request(Command::Rd(hmc_types::BlockSize::B32), 0, 0, tag, 0, &[]).unwrap();
-        QueueEntry::new(p, 9, 0, 0)
+        Box::new(QueueEntry::new(p, 9, 0, 0))
     }
 
     #[test]
@@ -906,7 +915,8 @@ mod tests {
         assert_eq!(d.hops, 1);
         assert_eq!(noc.occupancy(), 1);
         // Delivery refused: the packet stays buffered at its quad.
-        let mut refused = |_: VaultId, e: QueueEntry| -> Result<(), QueueEntry> { Err(e) };
+        let mut refused =
+            |_: VaultId, e: Box<QueueEntry>| -> Result<(), Box<QueueEntry>> { Err(e) };
         let d = noc.advance(2, &mut refused, |_, _| unreachable!(), false, false);
         assert_eq!(d.stalls, 1);
         assert_eq!(noc.occupancy(), 1);

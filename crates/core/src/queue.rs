@@ -5,20 +5,28 @@
 //! queue slots … in order to act as a registered input or output logic
 //! stage" (paper §IV.A). The C implementation scans fixed slot arrays with
 //! valid bits; this port keeps the slot *semantics* (fixed depth ≥ 1, FIFO
-//! arrival order, one packet per slot) in a ring buffer so a clock tick
-//! costs O(occupied slots), which the 33.5-million-request Table I runs
-//! require.
+//! arrival order, one packet per slot) in a ring buffer of *pointers* to
+//! boxed entries, so a clock tick costs O(occupied slots), which the
+//! 33.5-million-request Table I runs require, and a packet moving between
+//! queues moves one pointer rather than its 200-byte slot.
+//!
+//! Each request lives in one box from [`crate::HmcSim::send`] until the
+//! host receives its response: the vault (or the crossbar, for errors and
+//! MODE accesses) rewrites the request into its response in the same box
+//! ([`QueueEntry::respond`]), and every retired box returns to the
+//! simulation's free list for the next send. DESIGN.md, "Packet
+//! lifetime", lists where boxes retire.
 
 use std::collections::VecDeque;
 
-use hmc_types::{BankId, CubeId, Cycle, LinkId, Packet, VaultId};
+use hmc_types::{BankId, Command, CubeId, Cycle, LinkId, Packet, ResponseStatus, VaultId};
 
 /// Sentinel for "not yet decoded" vault/bank coordinates.
 pub const UNDECODED: u16 = u16::MAX;
 
 /// A packet occupying a queue slot, with the simulator-side metadata that
 /// the C implementation keeps alongside each slot.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueueEntry {
     /// The packet itself (always sized for the maximal nine-FLIT packet).
     pub packet: Packet,
@@ -62,22 +70,62 @@ pub struct QueueEntry {
 impl QueueEntry {
     /// Wrap a packet with fresh metadata.
     pub fn new(packet: Packet, src_cube: CubeId, dest_cube: CubeId, cycle: Cycle) -> Self {
-        QueueEntry {
+        let mut e = QueueEntry {
             packet,
-            entry_cycle: cycle,
-            arrival_cycle: cycle,
-            arrival_link: 0,
-            src_cube,
-            dest_cube,
-            hops: 0,
-            dest_vault: UNDECODED,
-            dest_bank: UNDECODED,
-            dest_row: 0,
-            corrupt: false,
-            retry_until: 0,
-            attempt: 0,
-            send_seq: 0,
-        }
+            ..QueueEntry::default()
+        };
+        e.renew(src_cube, dest_cube, cycle);
+        e
+    }
+
+    /// Reset every metadata field to that of a packet from `src_cube` to
+    /// `dest_cube` entering the device at `cycle`, leaving the packet.
+    fn renew(&mut self, src_cube: CubeId, dest_cube: CubeId, cycle: Cycle) {
+        self.entry_cycle = cycle;
+        self.arrival_cycle = cycle;
+        self.arrival_link = 0;
+        self.src_cube = src_cube;
+        self.dest_cube = dest_cube;
+        self.hops = 0;
+        self.dest_vault = UNDECODED;
+        self.dest_bank = UNDECODED;
+        self.dest_row = 0;
+        self.corrupt = false;
+        self.retry_until = 0;
+        self.attempt = 0;
+        self.send_seq = 0;
+    }
+
+    /// Turn this request entry into its response, in place.
+    ///
+    /// The packet becomes the `cmd` response carrying `status` and
+    /// `data`, echoing the request's tag and SLID ([`Packet::write_response`]).
+    /// The metadata becomes that of a fresh response entry sent by
+    /// `device` at `cycle` back to the request's source cube, except that
+    /// it keeps the request's device-entry stamp (so host-observed latency
+    /// spans the whole round trip) and arrival link (responses exit on
+    /// the link the request arrived on, §III.C). Hops, decode, retry and
+    /// SEQ state are cleared.
+    ///
+    /// # Panics
+    /// Panics if `cmd` is not a response command or `data` exceeds 128
+    /// bytes.
+    pub fn respond(
+        &mut self,
+        cmd: Command,
+        status: ResponseStatus,
+        data: &[u8],
+        device: CubeId,
+        cycle: Cycle,
+    ) {
+        let (tag, slid) = (self.packet.tag(), self.packet.slid());
+        self.packet
+            .write_response(cmd, tag, slid, status, data)
+            .expect("response commands build valid responses");
+        let (entry_cycle, arrival_link) = (self.entry_cycle, self.arrival_link);
+        self.renew(device, self.src_cube, cycle);
+        self.entry_cycle = entry_cycle;
+        self.arrival_link = arrival_link;
     }
 
     /// True once the crossbar has resolved vault/bank coordinates.
@@ -102,11 +150,59 @@ impl QueueEntry {
     }
 }
 
-/// A fixed-depth FIFO of queue slots.
+/// Spare queue-entry boxes. [`crate::HmcSim::send`] takes the box for a
+/// new request here, and every place a packet retires gives its box
+/// back, so a steady packet stream allocates nothing once the list has
+/// grown to the peak number of packets in flight.
+#[derive(Debug, Default)]
+pub struct FreeList {
+    // Boxed on purpose: queues hold these boxes, and moving one between
+    // a queue and this list moves a pointer, not a 200-byte entry.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<QueueEntry>>,
+}
+
+impl FreeList {
+    /// [`QueueEntry::new`] in a box: a spare one when there is one (the
+    /// packet is written into it once), else a new one.
+    pub fn boxed(
+        &mut self,
+        packet: Packet,
+        src_cube: CubeId,
+        dest_cube: CubeId,
+        cycle: Cycle,
+    ) -> Box<QueueEntry> {
+        match self.spare.pop() {
+            Some(mut slot) => {
+                slot.packet = packet;
+                slot.renew(src_cube, dest_cube, cycle);
+                slot
+            }
+            None => Box::new(QueueEntry::new(packet, src_cube, dest_cube, cycle)),
+        }
+    }
+
+    /// Give back the box of a retired packet.
+    pub fn recycle(&mut self, retired: Box<QueueEntry>) {
+        self.spare.push(retired);
+    }
+
+    /// Move every box of `other` into this list.
+    pub fn absorb(&mut self, other: &mut FreeList) {
+        self.spare.append(&mut other.spare);
+    }
+
+    /// True when no box is spare.
+    pub fn is_empty(&self) -> bool {
+        self.spare.is_empty()
+    }
+}
+
+/// A fixed-depth FIFO of queue slots, each holding a boxed entry.
 #[derive(Debug)]
 pub struct PacketQueue {
     depth: usize,
-    slots: VecDeque<QueueEntry>,
+    slots: VecDeque<Box<QueueEntry>>,
 }
 
 impl PacketQueue {
@@ -150,11 +246,7 @@ impl PacketQueue {
 
     /// Enqueue at the tail; returns the entry back on overflow so the
     /// caller can leave it in its upstream queue (a stall).
-    ///
-    /// The large `Err` payload is deliberate: a rejected entry is the
-    /// common stall path and must hand the packet back without boxing.
-    #[allow(clippy::result_large_err)]
-    pub fn push(&mut self, entry: QueueEntry) -> Result<(), QueueEntry> {
+    pub fn push(&mut self, entry: Box<QueueEntry>) -> Result<(), Box<QueueEntry>> {
         if self.is_full() {
             return Err(entry);
         }
@@ -163,35 +255,35 @@ impl PacketQueue {
     }
 
     /// Dequeue from the head.
-    pub fn pop(&mut self) -> Option<QueueEntry> {
+    pub fn pop(&mut self) -> Option<Box<QueueEntry>> {
         self.slots.pop_front()
     }
 
     /// Peek at the head without removing.
     pub fn front(&self) -> Option<&QueueEntry> {
-        self.slots.front()
+        self.slots.front().map(|e| &**e)
     }
 
     /// Peek at slot `i` (0 = head).
     pub fn get(&self, i: usize) -> Option<&QueueEntry> {
-        self.slots.get(i)
+        self.slots.get(i).map(|e| &**e)
     }
 
     /// Mutable peek at slot `i` (0 = head).
     pub fn get_mut(&mut self, i: usize) -> Option<&mut QueueEntry> {
-        self.slots.get_mut(i)
+        self.slots.get_mut(i).map(|e| &mut **e)
     }
 
     /// Remove slot `i` (0 = head), preserving the order of the rest.
     /// Used by the crossbar's pass-ahead walk, where a stalled packet may
     /// be passed by later packets bound elsewhere (§III.C weak ordering).
-    pub fn remove(&mut self, i: usize) -> Option<QueueEntry> {
+    pub fn remove(&mut self, i: usize) -> Option<Box<QueueEntry>> {
         self.slots.remove(i)
     }
 
     /// Re-insert an entry at the head (an entry popped for processing
     /// that must stall keeps its queue position).
-    pub fn push_front(&mut self, entry: QueueEntry) {
+    pub fn push_front(&mut self, entry: Box<QueueEntry>) {
         assert!(
             self.slots.len() < self.depth,
             "push_front into a full queue"
@@ -201,7 +293,7 @@ impl PacketQueue {
 
     /// Iterate entries head-to-tail.
     pub fn iter(&self) -> impl Iterator<Item = &QueueEntry> {
-        self.slots.iter()
+        self.slots.iter().map(|e| &**e)
     }
 
     /// Total FLITs resident across all occupied slots. Token-conservation
@@ -220,11 +312,11 @@ impl PacketQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmc_types::{BlockSize, Command};
+    use hmc_types::BlockSize;
 
-    fn entry(tag: u16) -> QueueEntry {
+    fn entry(tag: u16) -> Box<QueueEntry> {
         let p = Packet::request(Command::Rd(BlockSize::B16), 0, 0, tag, 0, &[]).unwrap();
-        QueueEntry::new(p, 5, 0, 0)
+        Box::new(QueueEntry::new(p, 5, 0, 0))
     }
 
     #[test]
@@ -326,6 +418,45 @@ mod tests {
             !e.retry_gated(10),
             "undetected corruption with a lapsed timer is live work"
         );
+    }
+
+    #[test]
+    fn respond_matches_a_fresh_response_entry() {
+        // The request's metadata is dirty in every field a response must
+        // clear or rewrite.
+        let payload: Vec<u8> = (0..64u8).collect();
+        let p = Packet::request(Command::Wr(BlockSize::B64), 2, 0x1c0, 77, 3, &payload).unwrap();
+        let mut req = QueueEntry::new(p, 6, 2, 10);
+        req.arrival_cycle = 14;
+        req.arrival_link = 3;
+        req.hops = 2;
+        req.dest_vault = 4;
+        req.dest_bank = 1;
+        req.dest_row = 9;
+        req.corrupt = true;
+        req.retry_until = 40;
+        req.attempt = 2;
+        req.send_seq = 123;
+        for (cmd, status, data) in [
+            (Command::WrResponse, ResponseStatus::Ok, &[][..]),
+            (Command::RdResponse, ResponseStatus::Ok, &payload[..]),
+            (
+                Command::ErrorResponse,
+                ResponseStatus::AddressError,
+                &[][..],
+            ),
+        ] {
+            // The path `respond` replaced: a new response packet in a new
+            // entry, with the request's entry stamp and arrival link
+            // copied over.
+            let rsp = Packet::response(cmd, req.packet.tag(), req.packet.slid(), status, data);
+            let mut fresh = QueueEntry::new(rsp.unwrap(), 2, req.src_cube, 50);
+            fresh.entry_cycle = req.entry_cycle;
+            fresh.arrival_link = req.arrival_link;
+            let mut turned = req.clone();
+            turned.respond(cmd, status, data, 2, 50);
+            assert_eq!(turned, fresh, "{cmd:?}");
+        }
     }
 
     #[test]

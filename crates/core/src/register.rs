@@ -97,6 +97,15 @@ struct Register {
 #[derive(Debug, Clone)]
 pub struct RegisterFile {
     regs: Vec<Register>,
+    /// Some RWS register was written since the last clock edge; while
+    /// false, [`RegisterFile::tick`] has nothing to clear.
+    rws_written: bool,
+    /// Linear index of the AC register, resolved once: the clock edge
+    /// reads it every cycle.
+    ac: usize,
+    /// Linear indices of the per-link IBTC registers, resolved once: the
+    /// clock edge mirrors link tokens into them every cycle.
+    ibtc: Vec<usize>,
 }
 
 impl RegisterFile {
@@ -136,7 +145,18 @@ impl RegisterFile {
         // Keep storage sorted by device index so linear translation is a
         // binary search over one well-aligned block.
         regs.sort_by_key(|r| r.index);
-        RegisterFile { regs }
+        let slot = |index: u32| {
+            regs.binary_search_by_key(&index, |r| r.index)
+                .expect("register was pushed above")
+        };
+        let ac = slot(regs::AC);
+        let ibtc = (0..num_links).map(|l| slot(regs::ibtc(l))).collect();
+        RegisterFile {
+            regs,
+            rws_written: false,
+            ac,
+            ibtc,
+        }
     }
 
     /// Number of registers present.
@@ -184,6 +204,7 @@ impl RegisterFile {
             RegClass::Rws => {
                 reg.value = value;
                 reg.pending_clear = true;
+                self.rws_written = true;
                 Ok(())
             }
         }
@@ -197,7 +218,11 @@ impl RegisterFile {
     }
 
     /// Clock edge: self-clear RWS registers written since the last edge.
+    /// O(1) when none was.
     pub fn tick(&mut self) {
+        if !std::mem::take(&mut self.rws_written) {
+            return;
+        }
         for r in &mut self.regs {
             if r.pending_clear {
                 r.value = 0;
@@ -212,6 +237,19 @@ impl RegisterFile {
             r.value = r.reset_value;
             r.pending_clear = false;
         }
+        self.rws_written = false;
+    }
+
+    /// The AC (address configuration) register's value, read without a
+    /// lookup (the clock edge reads it every cycle).
+    pub(crate) fn address_config(&self) -> u64 {
+        self.regs[self.ac].value
+    }
+
+    /// Internal: mirror link `l`'s token count into its IBTC register
+    /// without a lookup (the clock edge does this every cycle).
+    pub(crate) fn mirror_ibtc(&mut self, l: usize, tokens: u64) {
+        self.regs[self.ibtc[l]].value = tokens;
     }
 
     /// Iterate `(device_index, class, value)` in linear order.
@@ -286,6 +324,35 @@ mod tests {
         assert_eq!(f.read(regs::EDR0).unwrap(), 0, "self-cleared");
         f.tick();
         assert_eq!(f.read(regs::EDR0).unwrap(), 0);
+    }
+
+    #[test]
+    fn cached_slots_match_the_lookup() {
+        let mut f = RegisterFile::new(8, 8, 32);
+        f.write(regs::AC, 2).unwrap();
+        assert_eq!(f.address_config(), 2);
+        for l in 0..8u8 {
+            f.mirror_ibtc(l as usize, 100 + l as u64);
+            assert_eq!(f.read(regs::ibtc(l)).unwrap(), 100 + l as u64);
+        }
+    }
+
+    #[test]
+    fn idle_ticks_leave_the_file_unchanged() {
+        let mut f = file();
+        f.write(regs::GC, 7).unwrap();
+        f.write(regs::EDR1, 3).unwrap();
+        f.tick();
+        let after_edge: Vec<_> = f.iter().collect();
+        // No RWS write since the edge: later edges change nothing, and an
+        // RWS write after them still clears on the following edge.
+        f.tick();
+        f.tick();
+        assert_eq!(f.iter().collect::<Vec<_>>(), after_edge);
+        f.write(regs::EDR2, 5).unwrap();
+        f.tick();
+        assert_eq!(f.read(regs::EDR2).unwrap(), 0);
+        assert_eq!(f.read(regs::GC).unwrap(), 7);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::device::Device;
 use crate::engine::EngineScratch;
 use crate::link::Endpoint;
 use crate::params::SimParams;
-use crate::queue::QueueEntry;
+use crate::queue::FreeList;
 use crate::routing::RouteTable;
 
 /// The 3-bit CUB field bounds the ID space shared by devices and hosts.
@@ -86,6 +86,10 @@ pub struct HmcSim {
     pub(crate) ac_mode: u64,
     pub(crate) faults: Option<crate::fault::FaultState>,
     pub(crate) scratch: EngineScratch,
+    /// The free list of queue-entry boxes. [`HmcSim::send`] takes its box
+    /// here (allocating only while the list is empty, during warm-up),
+    /// and every place a packet retires gives its box back.
+    pub(crate) spare: FreeList,
     /// Invariant-checker state; `None` until the first hook fires with
     /// [`SimParams::check_invariants`] set (zero-cost when off).
     pub(crate) inv: Option<Box<crate::invariants::InvariantState>>,
@@ -168,6 +172,7 @@ impl HmcSim {
             ac_mode: 0,
             faults: None,
             scratch: EngineScratch::default(),
+            spare: FreeList::default(),
             inv: None,
             applied_timing: None,
             applied_noc: None,
@@ -653,7 +658,9 @@ impl HmcSim {
         if self.params.check_invariants {
             self.inv_record_send(dev, link, host, &packet);
         }
-        let mut entry = QueueEntry::new(packet, host, dest, self.clock);
+        // The packet is written once, into a recycled box; from here on
+        // every hop moves the pointer.
+        let mut entry = self.spare.boxed(packet, host, dest, self.clock);
         entry.arrival_link = link;
         // Error simulation: the packet may be corrupted in SERDES
         // transit. The link hands out its wire SEQ (stamped into the
@@ -679,12 +686,27 @@ impl HmcSim {
 
     /// Receive one response packet from a host link, if available.
     pub fn recv(&mut self, dev: CubeId, link: LinkId) -> Result<Packet> {
-        self.recv_with_latency(dev, link).map(|(p, _)| p)
+        self.recv_with(dev, link, |p, _| p.clone())
     }
 
     /// Receive one response packet together with its request-to-response
     /// latency in cycles (device-entry to delivery).
     pub fn recv_with_latency(&mut self, dev: CubeId, link: LinkId) -> Result<(Packet, Cycle)> {
+        self.recv_with(dev, link, |p, latency| (p.clone(), latency))
+    }
+
+    /// Receive one response from a host link by lending it: `f` sees the
+    /// response packet and its request-to-response latency in cycles,
+    /// and its result is returned. The packet is not copied out; its
+    /// queue slot goes back to the simulation's free list once `f`
+    /// returns. [`HmcSim::recv`] and [`HmcSim::recv_with_latency`] are
+    /// this call with a closure that clones the packet.
+    pub fn recv_with<R>(
+        &mut self,
+        dev: CubeId,
+        link: LinkId,
+        f: impl FnOnce(&Packet, Cycle) -> R,
+    ) -> Result<R> {
         let n = self.devices.len() as u8;
         let d = self
             .devices
@@ -699,17 +721,17 @@ impl HmcSim {
                 "link {link} on device {dev} is not a host link"
             )));
         }
-        match d.xbars[link as usize].rsp.pop() {
-            Some(entry) => {
-                self.stats.received += 1;
-                if self.params.check_invariants {
-                    self.inv_check_recv(dev, link, &entry);
-                }
-                let latency = self.clock.saturating_sub(entry.entry_cycle);
-                Ok((entry.packet, latency))
-            }
-            None => Err(HmcError::NoResponse { cube: dev, link }),
+        let Some(entry) = d.xbars[link as usize].rsp.pop() else {
+            return Err(HmcError::NoResponse { cube: dev, link });
+        };
+        self.stats.received += 1;
+        if self.params.check_invariants {
+            self.inv_check_recv(dev, link, &entry);
         }
+        let latency = self.clock.saturating_sub(entry.entry_cycle);
+        let out = f(&entry.packet, latency);
+        self.spare.recycle(entry);
+        Ok(out)
     }
 
     // ------------------------------------------------------------- clock
@@ -727,13 +749,12 @@ impl HmcSim {
     }
 
     pub(crate) fn stage6_update_clock(&mut self) {
-        use crate::register::regs;
         for d in &mut self.devices {
             d.registers.tick();
             // Mirror live link token counts into the IBTC registers so
             // in-band MODE_READs observe real flow-control state.
             for l in &d.links {
-                let _ = d.registers.set_internal(regs::ibtc(l.id), l.tokens as u64);
+                d.registers.mirror_ibtc(l.id as usize, l.tokens as u64);
             }
         }
         // The AC (address configuration) register selects among the
@@ -741,7 +762,7 @@ impl HmcSim {
         // low-interleave (default), 1 = bank-first, 2 = linear. Devices
         // are homogeneous, so device 0's AC governs the object; changes
         // take effect at the clock edge for subsequently routed packets.
-        let ac = self.devices[0].registers.read(regs::AC).unwrap_or(0);
+        let ac = self.devices[0].registers.address_config();
         if ac != self.ac_mode {
             let geometry = self.config.geometry();
             let new_map: Option<Arc<dyn AddressMap>> = match ac {

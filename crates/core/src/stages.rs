@@ -26,7 +26,7 @@
 
 use hmc_trace::{EventKind, TraceEvent};
 use hmc_types::packet::ResponseStatus;
-use hmc_types::{Command, CubeId, LinkId, Packet, PhysAddr, QuadId, VaultId};
+use hmc_types::{Command, CubeId, LinkId, PhysAddr, QuadId, VaultId};
 
 use crate::link::Endpoint;
 use crate::noc::{NocClass, NocDest, NocEvent};
@@ -150,6 +150,8 @@ impl HmcSim {
                     )
                 };
 
+                let posted = cmd_res.as_ref().is_ok_and(|c| c.is_posted());
+
                 // Error simulation: the crossbar's CRC check catches
                 // packets corrupted in link transit. A detected
                 // corruption triggers the StartRetry/IRTRY exchange —
@@ -159,13 +161,9 @@ impl HmcSim {
                 // a poisoned response while the link goes down to
                 // retrain.
                 if self.faults.is_some() {
-                    let (corrupt, gated, posted) = {
+                    let (corrupt, gated) = {
                         let e = self.devices[di].xbars[l].rqst.get(idx).expect("idx checked");
-                        (
-                            e.corrupt,
-                            e.retry_gated(self.clock),
-                            e.packet.cmd().map(|c| c.is_posted()).unwrap_or(false),
-                        )
+                        (e.corrupt, e.retry_gated(self.clock))
                     };
                     if gated {
                         // Retransmission in flight: the packet (and, to
@@ -188,8 +186,7 @@ impl HmcSim {
                         // the detection is recorded so a deferred abort
                         // never double-counts.
                         if next_attempt > cfg.retry_limit
-                            && !posted
-                            && self.devices[di].xbars[l].rsp.is_full()
+                            && self.error_response_blocked(di, l, posted)
                         {
                             break;
                         }
@@ -253,6 +250,10 @@ impl HmcSim {
                 let cmd = match cmd_res {
                     Ok(c) => c,
                     Err(_) => {
+                        if self.error_response_blocked(di, l, posted) {
+                            idx += 1;
+                            continue;
+                        }
                         let entry = self.devices[di].xbars[l].rqst.remove(idx).expect("present");
                         self.return_link_tokens(di, l, flits);
                         self.xbar_error_response(di, l, entry, ResponseStatus::CommandError);
@@ -267,6 +268,7 @@ impl HmcSim {
                     let entry = self.devices[di].xbars[l].rqst.remove(idx).expect("present");
                     self.return_link_tokens(di, l, flits);
                     self.process_flow_packet(di, l, cmd, &entry);
+                    self.spare.recycle(entry);
                     drained += 1;
                     drained_flits += flits as usize;
                     continue;
@@ -279,6 +281,10 @@ impl HmcSim {
                         continue;
                     }
                     if hops + 1 > self.params.hop_budget {
+                        if self.error_response_blocked(di, l, posted) {
+                            idx += 1;
+                            continue;
+                        }
                         let entry = self.devices[di].xbars[l].rqst.remove(idx).expect("present");
                         self.return_link_tokens(di, l, flits);
                         self.emit(TraceEvent::Zombie {
@@ -301,6 +307,10 @@ impl HmcSim {
                         _ => {
                             // No route, or the route terminates at a host:
                             // requests cannot be delivered to hosts.
+                            if self.error_response_blocked(di, l, posted) {
+                                idx += 1;
+                                continue;
+                            }
                             let entry =
                                 self.devices[di].xbars[l].rqst.remove(idx).expect("present");
                             self.return_link_tokens(di, l, flits);
@@ -366,9 +376,13 @@ impl HmcSim {
                 let (vault, bank, row) = if decoded_vault != UNDECODED {
                     (decoded_vault, decoded_bank, decoded_row)
                 } else {
-                    match PhysAddr::new(addr).and_then(|a| self.map.decode(a)) {
-                        Ok(d) => (d.vault, d.bank, d.row),
-                        Err(_) => {
+                    match self.map.locate(PhysAddr::new_truncating(addr)) {
+                        Some(d) => (d.vault, d.bank, d.row),
+                        None => {
+                            if self.error_response_blocked(di, l, posted) {
+                                idx += 1;
+                                continue;
+                            }
                             let entry =
                                 self.devices[di].xbars[l].rqst.remove(idx).expect("present");
                             self.return_link_tokens(di, l, flits);
@@ -526,6 +540,7 @@ impl HmcSim {
                         dest_cube: dest,
                         tag: entry.packet.tag(),
                     });
+                    self.spare.recycle(entry);
                     moved += 1;
                     continue;
                 };
@@ -566,6 +581,7 @@ impl HmcSim {
                                 dest_cube: entry.dest_cube,
                                 tag: entry.packet.tag(),
                             });
+                            self.spare.recycle(entry);
                             moved += 1;
                         }
                     }
@@ -612,6 +628,7 @@ impl HmcSim {
                     dest_cube: entry.dest_cube,
                     tag: entry.packet.tag(),
                 });
+                self.spare.recycle(entry);
                 continue;
             };
             let e_link = e_link as usize;
@@ -685,9 +702,6 @@ impl HmcSim {
     /// phase in both the serial and sharded engines — NoC state never
     /// crosses a thread boundary, so every thread count is bit-identical
     /// by construction. No-op (one branch) under the crossbar fabric.
-    // The delivery closures echo `PacketQueue::push`'s refused-entry
-    // return, which carries the same large-variant trade-off.
-    #[allow(clippy::result_large_err)]
     pub(crate) fn noc_advance(&mut self, di: usize) {
         let dev_id = di as CubeId;
         let clock = self.clock;
@@ -791,45 +805,34 @@ impl HmcSim {
     }
 
     /// Execute an in-band MODE_READ / MODE_WRITE register access at the
-    /// crossbar logic layer and enqueue the response (§V.D).
-    fn execute_mode_access(&mut self, di: usize, l: usize, cmd: Command, entry: QueueEntry) {
+    /// crossbar logic layer and enqueue the response, built in the
+    /// request's box (§V.D).
+    fn execute_mode_access(
+        &mut self,
+        di: usize,
+        l: usize,
+        cmd: Command,
+        mut entry: Box<QueueEntry>,
+    ) {
         let dev_id = di as CubeId;
         let reg = entry.packet.addr() as u32;
         let tag = entry.packet.tag();
-        let slid = entry.packet.slid();
         let write = cmd == Command::ModeWrite;
 
-        let result: Result<Packet, ResponseStatus> = if write {
+        // The response command, status and (MODE_READ) register value.
+        let (rsp_cmd, status, value) = if write {
             let value = entry.packet.data_words().first().copied().unwrap_or(0);
             match self.devices[di].registers.write(reg, value) {
-                Ok(()) => Ok(Packet::response(
-                    Command::ModeWriteResponse,
-                    tag,
-                    slid,
-                    ResponseStatus::Ok,
-                    &[],
-                )
-                .expect("mode write response construction cannot fail")),
+                Ok(()) => (Command::ModeWriteResponse, ResponseStatus::Ok, None),
                 Err(hmc_types::HmcError::RegisterAccess(msg)) if msg.contains("read-only") => {
-                    Err(ResponseStatus::CommandError)
+                    (Command::ErrorResponse, ResponseStatus::CommandError, None)
                 }
-                Err(_) => Err(ResponseStatus::AddressError),
+                Err(_) => (Command::ErrorResponse, ResponseStatus::AddressError, None),
             }
         } else {
             match self.devices[di].registers.read(reg) {
-                Ok(v) => {
-                    let mut data = [0u8; 16];
-                    data[..8].copy_from_slice(&v.to_le_bytes());
-                    Ok(Packet::response(
-                        Command::ModeReadResponse,
-                        tag,
-                        slid,
-                        ResponseStatus::Ok,
-                        &data,
-                    )
-                    .expect("mode read response construction cannot fail"))
-                }
-                Err(_) => Err(ResponseStatus::AddressError),
+                Ok(v) => (Command::ModeReadResponse, ResponseStatus::Ok, Some(v)),
+                Err(_) => (Command::ErrorResponse, ResponseStatus::AddressError, None),
             }
         };
 
@@ -839,37 +842,47 @@ impl HmcSim {
             write,
             tag,
         });
+        if !status.is_ok() {
+            self.emit(TraceEvent::ErrorResponse {
+                cube: dev_id,
+                tag,
+                status: status.encode(),
+            });
+        }
 
-        let packet = match result {
-            Ok(p) => p,
-            Err(status) => {
-                self.emit(TraceEvent::ErrorResponse {
-                    cube: dev_id,
-                    tag,
-                    status: status.encode(),
-                });
-                Packet::response(Command::ErrorResponse, tag, slid, status, &[])
-                    .expect("error response construction cannot fail")
+        let mut data = [0u8; 16];
+        let data: &[u8] = match value {
+            Some(v) => {
+                data[..8].copy_from_slice(&v.to_le_bytes());
+                &data
             }
+            None => &[],
         };
-        let mut resp = QueueEntry::new(packet, dev_id, entry.src_cube, self.clock);
-        resp.entry_cycle = entry.entry_cycle;
-        resp.arrival_link = entry.arrival_link;
+        entry.respond(rsp_cmd, status, data, dev_id, self.clock);
         self.devices[di].xbars[l]
             .rsp
-            .push(resp)
+            .push(entry)
             .expect("response slot checked by caller");
     }
 
-    /// Generate an error response for a request that failed at the
-    /// crossbar (bad command, bad address, misroute, zombie). Posted
-    /// requests fail silently; full response queues drop the error (the
-    /// condition is still traced).
+    /// True when a request that failed at the crossbar must wait where
+    /// it is: it owes an error response (it is not posted) and the
+    /// link's response queue has no slot for one. The request retires on
+    /// a later cycle once the host frees a slot, so no tag is lost.
+    fn error_response_blocked(&self, di: usize, l: usize, posted: bool) -> bool {
+        !posted && self.devices[di].xbars[l].rsp.is_full()
+    }
+
+    /// Generate an error response, in the request's box, for a request
+    /// that failed at the crossbar (bad command, bad address, misroute,
+    /// zombie). The caller checked [`Self::error_response_blocked`], so
+    /// a response slot is free. Posted requests fail silently and their
+    /// box returns to the free list.
     fn xbar_error_response(
         &mut self,
         di: usize,
         l: usize,
-        entry: QueueEntry,
+        mut entry: Box<QueueEntry>,
         status: ResponseStatus,
     ) {
         let posted = entry.packet.cmd().map(|c| c.is_posted()).unwrap_or(false);
@@ -881,35 +894,34 @@ impl HmcSim {
         });
         self.bump_error_register(di);
         if posted {
+            self.spare.recycle(entry);
             return;
         }
-        let packet = Packet::response(
+        entry.respond(
             Command::ErrorResponse,
-            tag,
-            entry.packet.slid(),
             status,
             &[],
-        )
-        .expect("error response construction cannot fail");
-        let mut resp = QueueEntry::new(packet, di as CubeId, entry.src_cube, self.clock);
-        resp.entry_cycle = entry.entry_cycle;
-        resp.arrival_link = entry.arrival_link;
-        // Best effort: if the response queue is full the error is dropped;
-        // the trace event above still records the failure.
-        let _ = self.devices[di].xbars[l].rsp.push(resp);
+            di as CubeId,
+            self.clock,
+        );
+        self.devices[di].xbars[l]
+            .rsp
+            .push(entry)
+            .expect("error response slot checked by caller");
     }
 
-    /// Generate the poisoned response for a request that exhausted the
-    /// link-retry protocol. Unlike [`Self::xbar_error_response`] this
-    /// path never drops: the caller verified a response slot is free
-    /// before retiring the request, so every non-posted request ends in
-    /// exactly one clean or poisoned response. Posted requests fail
-    /// silently (they carry no response by definition).
-    fn poison_response(&mut self, di: usize, l: usize, entry: QueueEntry) {
+    /// Generate the poisoned response, in the request's box, for a
+    /// request that exhausted the link-retry protocol. The caller
+    /// verified a response slot is free before retiring the request, so
+    /// every non-posted request ends in exactly one clean or poisoned
+    /// response. Posted requests fail silently (they carry no response
+    /// by definition) and their box returns to the free list.
+    fn poison_response(&mut self, di: usize, l: usize, mut entry: Box<QueueEntry>) {
         let posted = entry.packet.cmd().map(|c| c.is_posted()).unwrap_or(false);
         let tag = entry.packet.tag();
         self.bump_error_register(di);
         if posted {
+            self.spare.recycle(entry);
             return;
         }
         self.emit(TraceEvent::PoisonedResponse {
@@ -918,20 +930,16 @@ impl HmcSim {
             tag,
         });
         self.stats.poisoned_responses += 1;
-        let packet = Packet::response(
+        entry.respond(
             Command::ErrorResponse,
-            tag,
-            entry.packet.slid(),
             ResponseStatus::LinkPoisoned,
             &[],
-        )
-        .expect("poisoned response construction cannot fail");
-        let mut resp = QueueEntry::new(packet, di as CubeId, entry.src_cube, self.clock);
-        resp.entry_cycle = entry.entry_cycle;
-        resp.arrival_link = entry.arrival_link;
+            di as CubeId,
+            self.clock,
+        );
         self.devices[di].xbars[l]
             .rsp
-            .push(resp)
+            .push(entry)
             .expect("poison slot checked by caller");
     }
 }

@@ -15,9 +15,9 @@
 use hmc_mem::{CellFaultState, VaultMemory};
 use hmc_types::address::AddressMap;
 use hmc_types::packet::ResponseStatus;
-use hmc_types::{Command, CubeId, Cycle, HmcError, Packet, PhysAddr, VaultId};
+use hmc_types::{Command, CubeId, Cycle, HmcError, PhysAddr, VaultId};
 
-use crate::queue::{PacketQueue, QueueEntry};
+use crate::queue::{FreeList, PacketQueue, QueueEntry};
 use crate::timing::{ClassicTiming, VaultTiming};
 
 /// Largest data payload a packet can carry (eight 16-byte data FLITs of
@@ -41,10 +41,10 @@ pub struct VaultStats {
 
 /// The result of executing one request packet at a vault.
 ///
-/// Response entries are registered directly in the vault's response
-/// queue by [`Vault::execute`]; this enum only reports *what happened*
-/// so stage 4 can stage trace events and error-register updates without
-/// a heap-allocated hand-off.
+/// Responses are written into the request's box and registered directly
+/// in the vault's response queue by [`Vault::execute`]; this enum only
+/// reports *what happened* so stage 4 can stage trace events and
+/// error-register updates without a heap-allocated hand-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Execution {
     /// The request completed; no response is owed (posted commands,
@@ -69,7 +69,7 @@ pub struct PendingRsp {
     /// issue order, preserving per-bank stream order).
     pub seq: u64,
     /// The finished response entry.
-    pub entry: QueueEntry,
+    pub entry: Box<QueueEntry>,
 }
 
 /// One vault: controller queues plus the memory bank stack.
@@ -182,9 +182,12 @@ impl Vault {
     /// Execute one request packet against this vault's banks.
     ///
     /// The caller (stage 4) has already verified bank availability and —
-    /// for non-posted commands — a free response-queue slot; any owed
-    /// response is registered directly in [`Vault::rsp`]. Failures (bad
-    /// address, bad command) produce error response entries rather than
+    /// for non-posted commands — a free response-queue slot. Any owed
+    /// response is written into the request's own box
+    /// ([`QueueEntry::respond`]) and registered in [`Vault::rsp`]; the box
+    /// of a request that owes none (posted commands, including posted
+    /// failures) is pushed onto `retired` for reuse. Failures (bad
+    /// address, bad command) produce error responses rather than
     /// simulator errors, mirroring the device's error response packets
     /// (§IV.C). The hot path is allocation-free: read/write payloads
     /// stage through a stack buffer sized for the maximal nine-FLIT
@@ -197,80 +200,46 @@ impl Vault {
     /// until [`Vault::release_ready`] moves it into the queue.
     pub fn execute(
         &mut self,
-        entry: QueueEntry,
+        mut entry: Box<QueueEntry>,
         map: &dyn AddressMap,
         device: CubeId,
         cycle: Cycle,
         data_ready: Cycle,
+        retired: &mut FreeList,
     ) -> Execution {
-        let cmd = match entry.packet.cmd() {
-            Ok(c) => c,
-            Err(_) => {
-                self.stats.errors += 1;
-                return self.error_response(
-                    &entry,
-                    ResponseStatus::CommandError,
-                    device,
-                    cycle,
-                    data_ready,
-                );
-            }
-        };
-        let addr = match PhysAddr::new(entry.packet.addr()) {
-            Ok(a) => a,
-            Err(_) => {
-                self.stats.errors += 1;
-                return self.error_response(
-                    &entry,
-                    ResponseStatus::AddressError,
-                    device,
-                    cycle,
-                    data_ready,
-                );
-            }
-        };
-        let decoded = match map.decode(addr) {
+        let decoded = entry
+            .packet
+            .cmd()
+            .map_err(|_| ResponseStatus::CommandError)
+            .and_then(|cmd| {
+                map.locate(PhysAddr::new_truncating(entry.packet.addr()))
+                    .map(|d| (cmd, d))
+                    .ok_or(ResponseStatus::AddressError)
+            });
+        let (cmd, decoded) = match decoded {
             Ok(d) => d,
-            Err(_) => {
+            Err(status) => {
                 self.stats.errors += 1;
-                return self.error_response(
-                    &entry,
-                    ResponseStatus::AddressError,
-                    device,
-                    cycle,
-                    data_ready,
-                );
+                return self.error_response(entry, status, device, cycle, data_ready, retired);
             }
         };
 
-        let outcome: Result<Option<Packet>, HmcError> = match cmd {
+        // The owed response: its command and payload length in `buf`.
+        let mut buf = [0u8; MAX_BLOCK_BYTES];
+        let ack = |cmd: Command| (!cmd.is_posted()).then_some((Command::WrResponse, 0));
+        let outcome: Result<Option<(Command, usize)>, HmcError> = match cmd {
             Command::Rd(bs) => {
-                let mut buf = [0u8; MAX_BLOCK_BYTES];
-                let buf = &mut buf[..bs.bytes()];
-                self.mem.read(decoded, buf).map(|()| {
+                let n = bs.bytes();
+                self.mem.read(decoded, &mut buf[..n]).map(|()| {
                     self.stats.reads += 1;
-                    Some(
-                        Packet::response(
-                            Command::RdResponse,
-                            entry.packet.tag(),
-                            entry.packet.slid(),
-                            ResponseStatus::Ok,
-                            buf,
-                        )
-                        .expect("read response construction cannot fail"),
-                    )
+                    Some((Command::RdResponse, n))
                 })
             }
             Command::Wr(_) | Command::PostedWr(_) => {
-                let mut buf = [0u8; MAX_BLOCK_BYTES];
                 let n = entry.packet.copy_data_to(&mut buf);
                 self.mem.write(decoded, &buf[..n]).map(|()| {
                     self.stats.writes += 1;
-                    if cmd.is_posted() {
-                        None
-                    } else {
-                        Some(self.write_response(&entry))
-                    }
+                    ack(cmd)
                 })
             }
             Command::TwoAdd8 | Command::PostedTwoAdd8 => {
@@ -278,11 +247,7 @@ impl Vault {
                 let (op0, op1) = (ops[0], ops[1]);
                 self.mem.two_add8(decoded, op0, op1).map(|_| {
                     self.stats.atomics += 1;
-                    if cmd.is_posted() {
-                        None
-                    } else {
-                        Some(self.write_response(&entry))
-                    }
+                    ack(cmd)
                 })
             }
             Command::Add16 | Command::PostedAdd16 => {
@@ -290,11 +255,7 @@ impl Vault {
                 let op = (ops[0] as u128) | ((ops[1] as u128) << 64);
                 self.mem.add16(decoded, op).map(|_| {
                     self.stats.atomics += 1;
-                    if cmd.is_posted() {
-                        None
-                    } else {
-                        Some(self.write_response(&entry))
-                    }
+                    ack(cmd)
                 })
             }
             Command::Bwr | Command::PostedBwr => {
@@ -302,11 +263,7 @@ impl Vault {
                 let (data, mask) = (ops[0], ops[1]);
                 self.mem.bit_write(decoded, data, mask).map(|_| {
                     self.stats.atomics += 1;
-                    if cmd.is_posted() {
-                        None
-                    } else {
-                        Some(self.write_response(&entry))
-                    }
+                    ack(cmd)
                 })
             }
             // MODE accesses are logic-layer operations handled at the
@@ -314,11 +271,12 @@ impl Vault {
             _ => {
                 self.stats.errors += 1;
                 return self.error_response(
-                    &entry,
+                    entry,
                     ResponseStatus::CommandError,
                     device,
                     cycle,
                     data_ready,
+                    retired,
                 );
             }
         };
@@ -326,76 +284,51 @@ impl Vault {
         match outcome {
             Ok(None) => {
                 self.stats.processed += 1;
+                retired.recycle(entry);
                 Execution::Done
             }
-            Ok(Some(packet)) => {
+            Ok(Some((rsp_cmd, n))) => {
                 self.stats.processed += 1;
-                self.register_response(packet, &entry, device, cycle, data_ready);
+                entry.respond(rsp_cmd, ResponseStatus::Ok, &buf[..n], device, cycle);
+                self.register_response(entry, cycle, data_ready);
                 Execution::Responded
             }
             Err(_) => {
                 self.stats.errors += 1;
-                self.error_response(&entry, ResponseStatus::InternalError, device, cycle, data_ready)
+                self.error_response(
+                    entry,
+                    ResponseStatus::InternalError,
+                    device,
+                    cycle,
+                    data_ready,
+                    retired,
+                )
             }
         }
     }
 
-    fn write_response(&self, request: &QueueEntry) -> Packet {
-        Packet::response(
-            Command::WrResponse,
-            request.packet.tag(),
-            request.packet.slid(),
-            ResponseStatus::Ok,
-            &[],
-        )
-        .expect("write response construction cannot fail")
-    }
-
     fn error_response(
         &mut self,
-        request: &QueueEntry,
+        mut request: Box<QueueEntry>,
         status: ResponseStatus,
         device: CubeId,
         cycle: Cycle,
         data_ready: Cycle,
+        retired: &mut FreeList,
     ) -> Execution {
         // Posted requests owe no response even on failure; the error is
         // only visible through traces and the EDR registers.
-        let posted = request
-            .packet
-            .cmd()
-            .map(|c| c.is_posted())
-            .unwrap_or(false);
+        let posted = request.packet.cmd().map(|c| c.is_posted()).unwrap_or(false);
         if posted {
+            retired.recycle(request);
             return Execution::Done;
         }
-        let packet = Packet::response(
-            Command::ErrorResponse,
-            request.packet.tag(),
-            request.packet.slid(),
-            status,
-            &[],
-        )
-        .expect("error response construction cannot fail");
-        self.register_response(packet, request, device, cycle, data_ready);
+        request.respond(Command::ErrorResponse, status, &[], device, cycle);
+        self.register_response(request, cycle, data_ready);
         Execution::RespondedError(status)
     }
 
-    fn register_response(
-        &mut self,
-        packet: Packet,
-        request: &QueueEntry,
-        device: CubeId,
-        cycle: Cycle,
-        data_ready: Cycle,
-    ) {
-        let mut e = QueueEntry::new(packet, device, request.src_cube, cycle);
-        // The response inherits the request's device-entry stamp so
-        // host-observed latency spans the whole round trip.
-        e.entry_cycle = request.entry_cycle;
-        // Responses exit the device on the link the request arrived on,
-        // preserving the link-stream association (§III.C).
-        e.arrival_link = request.arrival_link;
+    fn register_response(&mut self, response: Box<QueueEntry>, cycle: Cycle, data_ready: Cycle) {
         if data_ready > cycle {
             // Timed backends: the data lands later; park the finished
             // response until `release_ready` moves it into the queue.
@@ -404,14 +337,14 @@ impl Vault {
             self.pending.push(PendingRsp {
                 ready_at: data_ready,
                 seq,
-                entry: e,
+                entry: response,
             });
             return;
         }
         // Stage 4 verified a free slot before executing a command that
         // owes a response, so this cannot overflow in the engine; a
         // direct caller that ignored the contract just loses the entry.
-        let _ = self.rsp.push(e);
+        let _ = self.rsp.push(response);
     }
 
     /// Drop queue contents and counters; reset banks and the timing
@@ -434,7 +367,7 @@ impl Vault {
 mod tests {
     use super::*;
     use hmc_types::config::StorageMode;
-    use hmc_types::{BlockSize, LowInterleaveMap, MapGeometry};
+    use hmc_types::{BlockSize, LowInterleaveMap, MapGeometry, Packet};
 
     fn map() -> LowInterleaveMap {
         LowInterleaveMap::new(MapGeometry {
@@ -454,15 +387,26 @@ mod tests {
         )
     }
 
-    fn request(cmd: Command, addr: u64, tag: u16, data: &[u8]) -> QueueEntry {
+    fn request(cmd: Command, addr: u64, tag: u16, data: &[u8]) -> Box<QueueEntry> {
         let p = Packet::request(cmd, 0, addr, tag, 2, data).unwrap();
         let mut e = QueueEntry::new(p, 6, 0, 0);
         e.arrival_link = 2;
-        e
+        Box::new(e)
+    }
+
+    /// Execute on device 0, dropping any retired box.
+    fn run(
+        v: &mut Vault,
+        m: &LowInterleaveMap,
+        e: Box<QueueEntry>,
+        cycle: Cycle,
+        data_ready: Cycle,
+    ) -> Execution {
+        v.execute(e, m, 0, cycle, data_ready, &mut FreeList::default())
     }
 
     /// Pop the response `execute` just registered in the vault queue.
-    fn take_rsp(v: &mut Vault) -> QueueEntry {
+    fn take_rsp(v: &mut Vault) -> Box<QueueEntry> {
         v.rsp.pop().expect("a response entry was registered")
     }
 
@@ -502,7 +446,13 @@ mod tests {
         let data = [0x5au8; 64];
         // Vault 0 addresses: low-interleave places vault bits just above
         // the 128-byte offset, so address 0 targets vault 0, bank 0.
-        let exec = v.execute(request(Command::Wr(BlockSize::B64), 0, 1, &data), &m, 0, 5, 5);
+        let exec = run(
+            &mut v,
+            &m,
+            request(Command::Wr(BlockSize::B64), 0, 1, &data),
+            5,
+            5,
+        );
         assert_eq!(exec, Execution::Responded);
         let e = take_rsp(&mut v);
         assert_eq!(e.packet.cmd().unwrap(), Command::WrResponse);
@@ -511,7 +461,13 @@ mod tests {
         assert_eq!(e.src_cube, 0);
         assert_eq!(e.dest_cube, 6, "response returns to the host");
         assert_eq!(e.arrival_link, 2);
-        let exec = v.execute(request(Command::Rd(BlockSize::B64), 0, 2, &[]), &m, 0, 6, 6);
+        let exec = run(
+            &mut v,
+            &m,
+            request(Command::Rd(BlockSize::B64), 0, 2, &[]),
+            6,
+            6,
+        );
         assert_eq!(exec, Execution::Responded);
         let e = take_rsp(&mut v);
         assert_eq!(e.packet.cmd().unwrap(), Command::RdResponse);
@@ -526,16 +482,19 @@ mod tests {
     fn posted_writes_complete_silently() {
         let mut v = vault();
         let m = map();
+        let mut retired = FreeList::default();
         let exec = v.execute(
             request(Command::PostedWr(BlockSize::B32), 0, 3, &[1u8; 32]),
             &m,
             0,
             0,
             0,
+            &mut retired,
         );
         assert_eq!(exec, Execution::Done, "posted write must not respond");
         assert!(v.rsp.is_empty());
         assert_eq!(v.stats.writes, 1);
+        assert!(!retired.is_empty(), "the request's box is handed back");
     }
 
     #[test]
@@ -545,10 +504,16 @@ mod tests {
         let mut payload = [0u8; 16];
         payload[..8].copy_from_slice(&10u64.to_le_bytes());
         payload[8..].copy_from_slice(&20u64.to_le_bytes());
-        v.execute(request(Command::TwoAdd8, 0, 1, &payload), &m, 0, 0, 0);
-        v.execute(request(Command::TwoAdd8, 0, 2, &payload), &m, 0, 0, 0);
+        run(&mut v, &m, request(Command::TwoAdd8, 0, 1, &payload), 0, 0);
+        run(&mut v, &m, request(Command::TwoAdd8, 0, 2, &payload), 0, 0);
         v.rsp.clear();
-        let exec = v.execute(request(Command::Rd(BlockSize::B16), 0, 3, &[]), &m, 0, 0, 0);
+        let exec = run(
+            &mut v,
+            &m,
+            request(Command::Rd(BlockSize::B16), 0, 3, &[]),
+            0,
+            0,
+        );
         assert_eq!(exec, Execution::Responded);
         let bytes = take_rsp(&mut v).packet.data_as_bytes();
         assert_eq!(u64::from_le_bytes(bytes[..8].try_into().unwrap()), 20);
@@ -563,12 +528,24 @@ mod tests {
         // Seed memory with u64::MAX in the low word so +1 carries.
         let mut seed = [0u8; 16];
         seed[..8].copy_from_slice(&u64::MAX.to_le_bytes());
-        v.execute(request(Command::Wr(BlockSize::B16), 0, 1, &seed), &m, 0, 0, 0);
+        run(
+            &mut v,
+            &m,
+            request(Command::Wr(BlockSize::B16), 0, 1, &seed),
+            0,
+            0,
+        );
         let mut op = [0u8; 16];
         op[0] = 1;
-        v.execute(request(Command::Add16, 0, 2, &op), &m, 0, 0, 0);
+        run(&mut v, &m, request(Command::Add16, 0, 2, &op), 0, 0);
         v.rsp.clear();
-        let exec = v.execute(request(Command::Rd(BlockSize::B16), 0, 3, &[]), &m, 0, 0, 0);
+        let exec = run(
+            &mut v,
+            &m,
+            request(Command::Rd(BlockSize::B16), 0, 3, &[]),
+            0,
+            0,
+        );
         assert_eq!(exec, Execution::Responded);
         let bytes = take_rsp(&mut v).packet.data_as_bytes();
         let val = u128::from_le_bytes(bytes.try_into().unwrap());
@@ -581,13 +558,25 @@ mod tests {
         let m = map();
         let mut seed = [0u8; 16];
         seed[..8].copy_from_slice(&0xffff_ffff_ffff_ffffu64.to_le_bytes());
-        v.execute(request(Command::Wr(BlockSize::B16), 0, 1, &seed), &m, 0, 0, 0);
+        run(
+            &mut v,
+            &m,
+            request(Command::Wr(BlockSize::B16), 0, 1, &seed),
+            0,
+            0,
+        );
         let mut op = [0u8; 16];
         op[..8].copy_from_slice(&0u64.to_le_bytes()); // data
         op[8..].copy_from_slice(&0x0000_0000_ffff_ffffu64.to_le_bytes()); // mask
-        v.execute(request(Command::Bwr, 0, 2, &op), &m, 0, 0, 0);
+        run(&mut v, &m, request(Command::Bwr, 0, 2, &op), 0, 0);
         v.rsp.clear();
-        let exec = v.execute(request(Command::Rd(BlockSize::B16), 0, 3, &[]), &m, 0, 0, 0);
+        let exec = run(
+            &mut v,
+            &m,
+            request(Command::Rd(BlockSize::B16), 0, 3, &[]),
+            0,
+            0,
+        );
         assert_eq!(exec, Execution::Responded);
         let bytes = take_rsp(&mut v).packet.data_as_bytes();
         assert_eq!(
@@ -602,7 +591,13 @@ mod tests {
         let m = map();
         // Beyond the 16-vault x 8-bank x 64-row x 128-byte capacity.
         let over = m.geometry().capacity_bytes();
-        let exec = v.execute(request(Command::Rd(BlockSize::B16), over, 7, &[]), &m, 0, 0, 0);
+        let exec = run(
+            &mut v,
+            &m,
+            request(Command::Rd(BlockSize::B16), over, 7, &[]),
+            0,
+            0,
+        );
         assert_eq!(
             exec,
             Execution::RespondedError(ResponseStatus::AddressError)
@@ -620,7 +615,7 @@ mod tests {
     fn mode_commands_at_a_vault_are_command_errors() {
         let mut v = vault();
         let m = map();
-        let exec = v.execute(request(Command::ModeRead, 0, 1, &[]), &m, 0, 0, 0);
+        let exec = run(&mut v, &m, request(Command::ModeRead, 0, 1, &[]), 0, 0);
         assert_eq!(
             exec,
             Execution::RespondedError(ResponseStatus::CommandError)
@@ -634,10 +629,10 @@ mod tests {
         let mut v = vault();
         let m = map();
         let over = m.geometry().capacity_bytes();
-        let exec = v.execute(
-            request(Command::PostedWr(BlockSize::B16), over, 1, &[0u8; 16]),
+        let exec = run(
+            &mut v,
             &m,
-            0,
+            request(Command::PostedWr(BlockSize::B16), over, 1, &[0u8; 16]),
             0,
             0,
         );
@@ -650,10 +645,22 @@ mod tests {
     fn reset_restores_fresh_vault() {
         let mut v = vault();
         let m = map();
-        v.execute(request(Command::Wr(BlockSize::B16), 0, 1, &[1; 16]), &m, 0, 0, 0);
+        run(
+            &mut v,
+            &m,
+            request(Command::Wr(BlockSize::B16), 0, 1, &[1; 16]),
+            0,
+            0,
+        );
         v.reset();
         assert_eq!(v.stats, VaultStats::default());
-        let exec = v.execute(request(Command::Rd(BlockSize::B16), 0, 2, &[]), &m, 0, 0, 0);
+        let exec = run(
+            &mut v,
+            &m,
+            request(Command::Rd(BlockSize::B16), 0, 2, &[]),
+            0,
+            0,
+        );
         assert_eq!(exec, Execution::Responded);
         assert_eq!(take_rsp(&mut v).packet.data_as_bytes(), vec![0u8; 16]);
     }
@@ -663,13 +670,25 @@ mod tests {
         let mut v = vault();
         let m = map();
         // Grant data at cycle 20: the response parks in `pending`.
-        let exec = v.execute(request(Command::Rd(BlockSize::B16), 0, 1, &[]), &m, 0, 10, 20);
+        let exec = run(
+            &mut v,
+            &m,
+            request(Command::Rd(BlockSize::B16), 0, 1, &[]),
+            10,
+            20,
+        );
         assert_eq!(exec, Execution::Responded);
         assert!(v.rsp.is_empty());
         assert_eq!(v.pending.len(), 1);
         assert_eq!(v.pending_min_ready(), Some(20));
         // A later issue with an earlier ready time releases first.
-        v.execute(request(Command::Rd(BlockSize::B16), 0, 2, &[]), &m, 0, 11, 15);
+        run(
+            &mut v,
+            &m,
+            request(Command::Rd(BlockSize::B16), 0, 2, &[]),
+            11,
+            15,
+        );
         assert!(!v.rsp_capacity_full());
         v.release_ready(14);
         assert!(v.rsp.is_empty(), "nothing ready before its cycle");
@@ -688,15 +707,21 @@ mod tests {
         let mut v = vault(); // depth 4
         let m = map();
         for tag in 0..3 {
-            v.execute(
-                request(Command::Rd(BlockSize::B16), 0, tag, &[]),
+            run(
+                &mut v,
                 &m,
-                0,
+                request(Command::Rd(BlockSize::B16), 0, tag, &[]),
                 0,
                 100,
             );
         }
-        v.execute(request(Command::Rd(BlockSize::B16), 0, 9, &[]), &m, 0, 0, 0);
+        run(
+            &mut v,
+            &m,
+            request(Command::Rd(BlockSize::B16), 0, 9, &[]),
+            0,
+            0,
+        );
         assert_eq!(v.pending.len(), 3);
         assert_eq!(v.rsp.len(), 1);
         assert!(v.rsp_capacity_full());

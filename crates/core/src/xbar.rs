@@ -61,9 +61,9 @@ mod tests {
     use crate::queue::QueueEntry;
     use hmc_types::{BlockSize, Command, Packet};
 
-    fn entry(tag: u16) -> QueueEntry {
+    fn entry(tag: u16) -> Box<QueueEntry> {
         let p = Packet::request(Command::Rd(BlockSize::B16), 0, 0, tag, 0, &[]).unwrap();
-        QueueEntry::new(p, 1, 0, 0)
+        Box::new(QueueEntry::new(p, 1, 0, 0))
     }
 
     #[test]

@@ -259,9 +259,9 @@ fn assert_fabric_minimal(fabric: &impl Interconnect, adj: &[Vec<usize>], label: 
 
 /// A request/response packet for fabric tests; `cycle` seeds
 /// `entry_cycle` so OldestFirst arbitration sees distinct ages.
-fn fabric_entry(tag: u16, cycle: u64) -> QueueEntry {
+fn fabric_entry(tag: u16, cycle: u64) -> Box<QueueEntry> {
     let p = Packet::request(Command::Rd(BlockSize::B32), 0, 0, tag % 512, 0, &[]).unwrap();
-    QueueEntry::new(p, 0, 0, cycle)
+    Box::new(QueueEntry::new(p, 0, 0, cycle))
 }
 
 proptest! {

@@ -258,26 +258,32 @@ impl Host {
         let mut drained = 0;
         for &(dev, link) in &self.ports {
             loop {
-                match sim.recv_with_latency(dev, link) {
-                    Ok((packet, latency)) => {
+                // Decode from the lent response; the packet is never
+                // copied out of its queue slot.
+                let got = sim.recv_with(dev, link, |packet, latency| {
+                    let info = decode_response(packet)?;
+                    if !info.is_ok() {
+                        self.stats.errors += 1;
+                        if info.status == hmc_types::ResponseStatus::LinkPoisoned {
+                            self.stats.poisoned += 1;
+                        }
+                    }
+                    match self.tags.complete(info.tag) {
+                        Some(_ctx) => {
+                            self.stats.completed += 1;
+                            self.latency.record(latency);
+                            capture(info, latency);
+                        }
+                        None => {
+                            self.stats.orphans += 1;
+                        }
+                    }
+                    Ok::<(), HmcError>(())
+                });
+                match got {
+                    Ok(decoded) => {
                         drained += 1;
-                        let info = decode_response(&packet)?;
-                        if !info.is_ok() {
-                            self.stats.errors += 1;
-                            if info.status == hmc_types::ResponseStatus::LinkPoisoned {
-                                self.stats.poisoned += 1;
-                            }
-                        }
-                        match self.tags.complete(info.tag) {
-                            Some(_ctx) => {
-                                self.stats.completed += 1;
-                                self.latency.record(latency);
-                                capture(info, latency);
-                            }
-                            None => {
-                                self.stats.orphans += 1;
-                            }
-                        }
+                        decoded?;
                     }
                     Err(HmcError::NoResponse { .. }) => break,
                     Err(e) => return Err(e),

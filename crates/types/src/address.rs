@@ -164,15 +164,23 @@ pub trait AddressMap: Send + Sync {
 
     /// Decode a physical address into structure coordinates.
     fn decode(&self, addr: PhysAddr) -> Result<DecodedAddr> {
+        self.locate(addr).ok_or_else(|| HmcError::InvalidAddress {
+            addr: addr.raw(),
+            reason: format!(
+                "beyond device capacity of {} bytes",
+                self.geometry().capacity_bytes()
+            ),
+        })
+    }
+
+    /// [`AddressMap::decode`] without the error value: `None` for an
+    /// address beyond the device capacity. It never allocates, so the
+    /// simulator's per-packet decode costs the same for failing
+    /// requests as for good ones.
+    fn locate(&self, addr: PhysAddr) -> Option<DecodedAddr> {
         let g = self.geometry();
         if addr.raw() >= g.capacity_bytes() {
-            return Err(HmcError::InvalidAddress {
-                addr: addr.raw(),
-                reason: format!(
-                    "beyond device capacity of {} bytes",
-                    g.capacity_bytes()
-                ),
-            });
+            return None;
         }
         let offset = (addr.raw() & (g.block_bytes as u64 - 1)) as u32;
         let mut rest = addr.raw() >> g.offset_bits();
@@ -193,7 +201,7 @@ pub trait AddressMap: Send + Sync {
                 Field::Row => row = val,
             }
         }
-        Ok(DecodedAddr {
+        Some(DecodedAddr {
             vault: vault as VaultId,
             bank: bank as BankId,
             row,

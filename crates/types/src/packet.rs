@@ -468,27 +468,46 @@ impl Packet {
         status: ResponseStatus,
         data: &[u8],
     ) -> Result<Packet> {
+        let mut p = Packet::default();
+        p.write_response(cmd, tag, slid, status, data)?;
+        Ok(p)
+    }
+
+    /// Overwrite this packet, in place, with the response
+    /// [`Packet::response`] builds from the same arguments: every word is
+    /// rewritten, dead payload words included (they are zeroed). A vault
+    /// turns a request into its response this way, in the slot the
+    /// request arrived in. The packet is left untouched on error.
+    ///
+    /// # Panics
+    /// Panics if `data.len()` exceeds the 128-byte maximum.
+    pub fn write_response(
+        &mut self,
+        cmd: Command,
+        tag: u16,
+        slid: LinkId,
+        status: ResponseStatus,
+        data: &[u8],
+    ) -> Result<()> {
         if !cmd.is_response() {
             return Err(HmcError::InvalidPacket(format!(
                 "{} is not a response command",
                 cmd.mnemonic()
             )));
         }
-        let mut p = Packet {
-            header: 0,
-            data: words_from_bytes(data),
-            tail: 0,
-        };
-        p.set_cmd(cmd);
-        p.set_tag(tag);
+        self.header = 0;
+        self.data = words_from_bytes(data);
+        self.tail = 0;
+        self.set_cmd(cmd);
+        self.set_tag(tag);
         let flits = crate::flit::flits_for_data(data.len());
-        p.set_lng(flits);
-        p.set_dln(flits);
-        p.set_errstat(status);
-        p.set_response_slid(slid);
-        p.set_dinv(!status.is_ok());
-        p.seal();
-        Ok(p)
+        self.set_lng(flits);
+        self.set_dln(flits);
+        self.set_errstat(status);
+        self.set_response_slid(slid);
+        self.set_dinv(!status.is_ok());
+        self.seal();
+        Ok(())
     }
 
     // -------------------------------------------------------------- display

@@ -166,7 +166,7 @@ fn undecodable_command_in_flight_yields_command_error() {
             .unwrap()
             .xbars[0]
             .rqst
-            .push(entry)
+            .push(Box::new(entry))
             .unwrap();
     }
     let rsp = pump_for_response(&mut sim, 0, 8).expect("command error response");
@@ -194,4 +194,48 @@ fn error_register_accumulates_device_side_failures() {
         pump_for_response(&mut sim, 0, 8).unwrap();
     }
     assert_eq!(sim.jtag_reg_read(0, err_reg).unwrap(), 3);
+}
+
+#[test]
+fn crossbar_error_waits_for_a_response_slot_instead_of_losing_its_tag() {
+    let mut sim = HmcSim::new(1, DeviceConfig::small()).unwrap();
+    let host = sim.host_cube_id(0);
+    topology::build_simple(&mut sim, host).unwrap();
+    // Fill link 0's crossbar response queue (8 slots) and do not receive.
+    for tag in 0..8u16 {
+        let addr = u64::from(tag) * 0x80;
+        let rd = Packet::request(Command::Rd(BlockSize::B16), 0, addr, tag, 0, &[]).unwrap();
+        sim.send(0, 0, rd).unwrap();
+    }
+    for _ in 0..64 {
+        if sim.pending_responses(0, 0).unwrap() == 8 {
+            break;
+        }
+        sim.clock().unwrap();
+    }
+    assert_eq!(sim.pending_responses(0, 0).unwrap(), 8, "response queue full");
+    // An address beyond capacity fails at the crossbar and owes an error
+    // response, but the response queue has no slot for it yet.
+    let bad = Packet::request(Command::Rd(BlockSize::B16), 0, (1 << 34) - 64, 8, 0, &[]).unwrap();
+    sim.send(0, 0, bad).unwrap();
+    for _ in 0..16 {
+        sim.clock().unwrap();
+    }
+    let mut tags = Vec::new();
+    let mut error = None;
+    for _ in 0..32 {
+        while let Ok(p) = sim.recv(0, 0) {
+            let info = decode_response(&p).unwrap();
+            tags.push(info.tag);
+            if !info.is_ok() {
+                error = Some(info);
+            }
+        }
+        sim.clock().unwrap();
+    }
+    tags.sort_unstable();
+    assert_eq!(tags, (0..9).collect::<Vec<u16>>(), "every tag completes once");
+    let error = error.expect("the error response arrives once a slot frees");
+    assert_eq!(error.tag, 8);
+    assert_eq!(error.status, ResponseStatus::AddressError);
 }

@@ -191,7 +191,7 @@ proptest! {
         for push in ops {
             if push && !q.is_full() {
                 let p = Packet::request(Command::Rd(BlockSize::B16), 0, 0, next_tag % 512, 0, &[]).unwrap();
-                q.push(QueueEntry::new(p, 1, 0, 0)).unwrap();
+                q.push(Box::new(QueueEntry::new(p, 1, 0, 0))).unwrap();
                 model.push_back(next_tag % 512);
                 next_tag = next_tag.wrapping_add(1);
             } else if !push {

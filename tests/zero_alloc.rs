@@ -8,13 +8,22 @@
 //! capacity, an identical measured phase must allocate nothing. The
 //! count is per thread, so tests running side by side (and the test
 //! harness itself) never show up in each other's measured phase.
+//!
+//! Packets live in boxes that the simulation recycles through a free
+//! list, so these tests are also the free list's leak check: a box
+//! dropped on any retirement path instead of being returned drains the
+//! list, and the next send allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hmc_sim::hmc_core::{topology, HmcSim};
+use hmc_sim::hmc_core::{
+    decode_response, topology, HmcSim, NocParams, SimParams, SimStats, TimingParams,
+};
 use hmc_sim::hmc_host::Host;
-use hmc_sim::hmc_types::{BlockSize, Command, DeviceConfig, Packet, StorageMode};
+use hmc_sim::hmc_types::{
+    BlockSize, Command, DeviceConfig, InterconnectKind, LinkId, Packet, StorageMode, TimingKind,
+};
 use hmc_sim::hmc_workloads::MemOp;
 
 struct CountingAllocator;
@@ -174,6 +183,122 @@ fn steady_state_host_driver_allocates_nothing() {
         0,
         "steady-state try_issue + clock + drain must not touch the allocator \
          ({} allocations in 256 loaded cycles)",
+        after - before
+    );
+}
+
+/// Responses received by [`gapped_burst`], by kind.
+#[derive(Debug, Default, Clone, Copy)]
+struct Received {
+    clean: u64,
+    errors: u64,
+}
+
+/// Receive every response waiting on the host links.
+fn recv_all(sim: &mut HmcSim, got: &mut Received) {
+    for link in 0..4 {
+        while let Ok(p) = sim.recv(0, link) {
+            if decode_response(&p).unwrap().is_ok() {
+                got.clean += 1;
+            } else {
+                got.errors += 1;
+            }
+        }
+    }
+}
+
+/// One burst of the gapped DDR + mesh shape: 16 requests round-robin
+/// over the links (reads and posted writes, and every so often a read
+/// or posted write beyond capacity, which fails at the crossbar), then
+/// one-cycle clocks and receives until every read is answered, then an
+/// idle gap advanced with one `clock_batch`. Requests walk sequential
+/// 64-byte blocks, or with `hot` one vault's banks (a 2 KiB stride on
+/// the 16-vault, 128-byte-block `small` map), which fills that vault's
+/// request queue so the NoC refuses deliveries into it.
+fn gapped_burst(sim: &mut HmcSim, rng: &mut Lcg, tag: &mut u16, hot: bool, got: &mut Received) {
+    let payload = [0xa5u8; 64];
+    let stride = if hot { 2048 } else { 64 };
+    let base = (rng.next() % (sim.config().capacity_bytes / 4096 - 16)) * 64;
+    let mut reads = 0u64;
+    for i in 0..16u64 {
+        let link = (i % 4) as LinkId;
+        let addr = if rng.next().is_multiple_of(8) {
+            (1 << 34) - 64
+        } else {
+            base + i * stride
+        };
+        let packet = if rng.next().is_multiple_of(2) {
+            reads += 1;
+            *tag = (*tag + 1) % 0x1ff;
+            Packet::request(Command::Rd(BlockSize::B64), 0, addr, *tag, link, &[]).unwrap()
+        } else {
+            let cmd = Command::PostedWr(BlockSize::B64);
+            Packet::request(cmd, 0, addr, 0x1ff, link, &payload).unwrap()
+        };
+        while let Err(e) = sim.send(0, link, packet.clone()) {
+            assert!(e.is_stall(), "send failed: {e}");
+            sim.clock_batch(1).unwrap();
+            recv_all(sim, got);
+        }
+    }
+    let target = got.clean + got.errors + reads;
+    while got.clean + got.errors < target {
+        sim.clock_batch(1).unwrap();
+        recv_all(sim, got);
+    }
+    sim.clock_batch(512).unwrap();
+    recv_all(sim, got);
+}
+
+#[test]
+fn steady_state_gapped_ddr_mesh_allocates_nothing() {
+    let cfg = DeviceConfig::small().with_storage_mode(StorageMode::TimingOnly);
+    let mut sim = HmcSim::new(1, cfg).unwrap().with_params(SimParams {
+        fast_forward: true,
+        timing: TimingParams::of(TimingKind::Ddr),
+        interconnect: NocParams::of(InterconnectKind::Mesh),
+        ..SimParams::default()
+    });
+    let host = sim.host_cube_id(0);
+    topology::build_simple(&mut sim, host).unwrap();
+
+    let mut rng = Lcg(0xD0E5);
+    let mut tag = 0u16;
+    let mut got = Received::default();
+
+    // Warm-up: grow the free list to the peak number of packets in
+    // flight and every engine scratch buffer to its high-water mark.
+    for b in 0..256 {
+        gapped_burst(&mut sim, &mut rng, &mut tag, b % 2 == 1, &mut got);
+    }
+
+    let (stats, received) = (sim.stats(), got);
+    let before = allocations();
+    for b in 0..128 {
+        gapped_burst(&mut sim, &mut rng, &mut tag, b % 2 == 1, &mut got);
+    }
+    let after = allocations();
+
+    // Every recycle path ran in the measured phase.
+    let delta = |f: fn(&SimStats) -> u64| f(&sim.stats()) - f(&stats);
+    assert!(got.clean > received.clean, "clean reads answered");
+    assert!(got.errors > received.errors, "crossbar error responses");
+    assert!(
+        delta(|s| s.sent) > delta(|s| s.received),
+        "posted requests retired"
+    );
+    assert!(delta(|s| s.noc_hops) > 0, "NoC deliveries");
+    assert!(delta(|s| s.noc_stalls) > 0, "NoC refusals");
+    assert!(
+        delta(|s| s.row_hits + s.row_misses) > 0,
+        "pending DDR responses"
+    );
+    assert!(delta(|s| s.cycles) > 128 * 512, "fast-forwarded gaps");
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state send + clock_batch + recv on DDR, mesh and fast-forward must not \
+         touch the allocator ({} allocations in 128 bursts)",
         after - before
     );
 }
